@@ -205,6 +205,81 @@ fn events_qlog_matches_golden_snapshot() {
     }
 }
 
+/// `Analysis::run_with`'s event stream for `scenario`, serialized as
+/// qlog 0.4 JSON-SEQ into memory.
+fn analyze_qlog(scenario: &Scenario, config: &AnalysisConfig) -> String {
+    use quicsand_events::qlog::QlogWriter;
+
+    let (mut writer, buffer) =
+        QlogWriter::to_buffer("quicsand analyze golden", &["scenario-test".to_string()])
+            .expect("buffer-backed qlog writer");
+    let _ = Analysis::run_with(scenario, config, &mut writer);
+    let (events, _) = writer.finish().expect("finish qlog");
+    assert!(events > 0, "analyze must emit events");
+    String::from_utf8(buffer.contents()).expect("qlog is UTF-8")
+}
+
+/// The batch pipeline's event stream (`analyze --events-out`) must
+/// match its checked-in snapshot byte for byte at every thread count:
+/// wire rejections, Retry/VN sightings, session lifecycle and
+/// migration links, in record-index order.
+#[test]
+fn analyze_events_qlog_matches_golden_snapshot() {
+    let scenario = Scenario::generate(&ScenarioConfig::test());
+    let rendered: Vec<(usize, String)> = [1usize, 2, 8]
+        .into_iter()
+        .map(|threads| {
+            let config = AnalysisConfig {
+                threads,
+                ..AnalysisConfig::default()
+            };
+            (threads, analyze_qlog(&scenario, &config))
+        })
+        .collect();
+    for (threads, qlog) in &rendered[1..] {
+        assert!(
+            *qlog == rendered[0].1,
+            "{threads}-thread event stream differs from the 1-thread stream"
+        );
+    }
+    if let Err(drift) = check_text("analyze-events.qlog", &rendered[0].1) {
+        panic!("{drift}");
+    }
+}
+
+/// Under the standard fault mix the shards reject records (duplicates,
+/// truncation, clock skew, ...); the `wire_rejected` events they emit
+/// must land at the same record indices and in the same order as a
+/// 1-thread run's.
+#[test]
+fn analyze_events_are_thread_invariant_under_fault_injection() {
+    use quicsand_faults::{FaultPlan, FaultProfile};
+
+    let clean = Scenario::generate(&ScenarioConfig::test());
+    let profile = FaultProfile::standard();
+    let mut plan = FaultPlan::new(profile, 0xF4017);
+    let records = plan.apply_all(&clean.records);
+    let scenario = Scenario { records, ..clean };
+    let run = |threads: usize| {
+        let config = AnalysisConfig {
+            threads,
+            guard: profile.guard,
+            ..AnalysisConfig::default()
+        };
+        analyze_qlog(&scenario, &config)
+    };
+    let sequential = run(1);
+    let rejected = sequential.matches("quicsand:wire_rejected").count();
+    assert!(
+        rejected > 100,
+        "the fault mix must surface rejections ({rejected})"
+    );
+    assert!(
+        run(8) == sequential,
+        "8-thread event stream differs from the 1-thread stream under faults"
+    );
+}
+
 /// Table 1 (server resiliency replay) at the standard sub-sampled
 /// scale must match its snapshot: the replay model is seeded, so any
 /// drift is a behavior change in the server model, not noise.
