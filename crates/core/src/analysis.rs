@@ -6,7 +6,8 @@
 //! 2. **Sanitize** — behavioural research-scanner detection corroborated
 //!    with the AS database; research traffic is split off (Fig. 2).
 //! 3. **Sessionize** — requests and responses separately, 5-minute
-//!    timeout (Fig. 4 default).
+//!    timeout (Fig. 4 default), once over the merged capture-order
+//!    streams.
 //! 4. **Infer DoS** — Moore et al. thresholds on response sessions
 //!    (QUIC) and on TCP/ICMP baseline sessions.
 //! 5. **Correlate** — multi-vector classification of QUIC floods
@@ -17,20 +18,17 @@
 
 use crate::metrics::AnalysisMetrics;
 use quicsand_dissect::Direction;
-use quicsand_events::{EventMeta, SessionMigrated, Subscriber};
-use quicsand_net::Duration;
+use quicsand_events::{EventMeta, NoopSubscriber, SessionMigrated, Subscriber, VecSubscriber};
+use quicsand_net::{Duration, Timestamp};
 use quicsand_obs::MetricsRegistry;
 use quicsand_sessions::dos::{detect_attacks, Attack, AttackProtocol, DosThresholds};
 use quicsand_sessions::multivector::{classify_multivector_with, MultiVectorReport, VectorSignals};
 use quicsand_sessions::session::{
     link_migrations, MigrationLink, Session, SessionConfig, Sessionizer, SessionizerCounters,
 };
-use quicsand_telescope::parallel::{ingest_shard_with, partition_by_source};
+use quicsand_telescope::parallel::{ingest_shard_with_events, partition_by_source};
 pub use quicsand_telescope::PipelineStats;
-use quicsand_telescope::{
-    Admitted, GuardConfig, HourlySeries, IngestStats, QuicObservation, ResearchFilter,
-    TelescopePipeline,
-};
+use quicsand_telescope::{GuardConfig, HourlySeries, IngestStats, QuicObservation, ResearchFilter};
 use quicsand_traffic::Scenario;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -54,10 +52,10 @@ pub struct AnalysisConfig {
     pub research_min_packets: u64,
     /// Behavioural research-scanner detection: minimum unique targets.
     pub research_min_dsts: u64,
-    /// Worker threads for the sharded ingest→sessionize stages.
-    /// `1` runs the single-threaded path; any value produces
-    /// byte-identical analysis products (the shard merge is
-    /// deterministic), so this only affects wall-clock time.
+    /// Worker threads for the sharded ingest→sanitize stages. `1`
+    /// runs the one shard on the calling thread; any value produces
+    /// byte-identical analysis products and events (the shard merge
+    /// is deterministic), so this only affects wall-clock time.
     pub threads: usize,
     /// Pre-classification ingest guard: duplicate suppression and
     /// backwards-timestamp quarantine thresholds. Per-source, so the
@@ -80,13 +78,6 @@ impl Default for AnalysisConfig {
 
 fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1_000.0
-}
-
-/// Deterministic session order shared by the sequential and parallel
-/// paths: `(start, src)` is unique per sessionizer (one source has at
-/// most one session starting at a given instant).
-fn sort_sessions(sessions: &mut [Session]) {
-    sessions.sort_by_key(|s| (s.start, s.src));
 }
 
 /// Reads the lifecycle counters and still-open counts of the three
@@ -150,36 +141,12 @@ pub struct Analysis {
     pub metrics: AnalysisMetrics,
 }
 
-/// Everything stages 1–3 produce; stages 4–5 are computed on top by
-/// [`Analysis::run`], identically for both execution paths.
-struct FrontendProducts {
-    ingest: IngestStats,
-    research_sources: HashSet<Ipv4Addr>,
-    research_hourly: HourlySeries,
-    request_hourly: HourlySeries,
-    response_hourly: HourlySeries,
-    research_packets: u64,
-    requests: Vec<QuicObservation>,
-    responses: Vec<QuicObservation>,
-    request_sessions: Vec<Session>,
-    response_sessions: Vec<Session>,
-    common_sessions: Vec<Session>,
-    stats: PipelineStats,
-    /// Sessionizer lifecycle counters, summed over every sessionizer
-    /// (read *before* `finish()`, which consumes the sessionizer).
-    session_counters: SessionizerCounters,
-    /// Sessions still open when the end-of-run flush ran (the flush
-    /// closes them; `SessionMetrics::add_final` accounts for that).
-    sessions_open_at_flush: u64,
-    /// One `PipelineStats` per shard (a single entry sequentially) so
-    /// the stage-walltime histograms get one observation per shard.
-    shard_stats: Vec<PipelineStats>,
-}
-
-/// One worker's output in the parallel path. The `requests` /
-/// `responses` carry original record indices so the merge can restore
-/// exact capture order.
-struct ShardProducts {
+/// What stages 1–2 produce for one shard, or for the whole capture
+/// once the shards are merged. Every stream carries original record
+/// indices, so the merge restores exact capture order and the
+/// sessionize tail can tag its events with them.
+#[derive(Default)]
+struct Frontend {
     ingest: IngestStats,
     research_sources: HashSet<Ipv4Addr>,
     research_hourly: HourlySeries,
@@ -188,29 +155,202 @@ struct ShardProducts {
     research_packets: u64,
     requests: Vec<(usize, QuicObservation)>,
     responses: Vec<(usize, QuicObservation)>,
-    request_sessions: Vec<Session>,
-    response_sessions: Vec<Session>,
-    common_sessions: Vec<Session>,
+    /// TCP/ICMP baseline `(index, ts, src)` — all sessionization needs.
+    baseline: Vec<(usize, Timestamp, Ipv4Addr)>,
     stats: PipelineStats,
-    session_counters: SessionizerCounters,
-    sessions_open_at_flush: u64,
+}
+
+impl Frontend {
+    /// Stages 1–2 over one shard's record indices. Wire events go to
+    /// `events`, each tagged with its record index.
+    fn run<E: Subscriber>(
+        scenario: &Scenario,
+        config: &AnalysisConfig,
+        indices: &[usize],
+        events: &mut E,
+    ) -> Frontend {
+        let mut frontend = Frontend::default();
+
+        // 1. Ingest (this shard's records only).
+        let ingest_start = Instant::now();
+        let shard = ingest_shard_with_events(&scenario.records, indices, config.guard, events);
+        frontend.stats.ingest_ms = ms(ingest_start);
+
+        // 2. Sanitize: behavioural detection corroborated by PeeringDB.
+        // Research detection is a per-source aggregation, and sources
+        // never span shards, so the per-shard result is the global
+        // result restricted to this shard.
+        let sanitize_start = Instant::now();
+        let filter = ResearchFilter::detect_with_asdb(
+            &shard.quic,
+            &scenario.world.asdb,
+            config.research_min_packets,
+            config.research_min_dsts,
+        );
+        frontend.research_sources = filter.sources().clone();
+        for (obs, index) in shard.quic.into_iter().zip(shard.quic_index) {
+            if filter.is_research(obs.src) {
+                frontend.research_packets += 1;
+                frontend.research_hourly.add(obs.ts);
+                continue;
+            }
+            match obs.direction {
+                Direction::Request => {
+                    frontend.request_hourly.add(obs.ts);
+                    frontend.requests.push((index, obs));
+                }
+                Direction::Response => {
+                    frontend.response_hourly.add(obs.ts);
+                    frontend.responses.push((index, obs));
+                }
+            }
+        }
+        frontend.baseline = shard
+            .baseline_index
+            .into_iter()
+            .zip(&shard.baseline)
+            .map(|(index, record)| (index, record.ts, record.src))
+            .collect();
+        frontend.stats.sanitize_ms = ms(sanitize_start);
+        frontend.ingest = shard.stats;
+        frontend
+    }
+
+    /// Folds another shard in: counters and hourly series sum, streams
+    /// concatenate (see [`Frontend::into_capture_order`]).
+    fn merge(&mut self, shard: Frontend) {
+        self.ingest.merge(&shard.ingest);
+        self.research_sources.extend(shard.research_sources);
+        self.research_hourly.merge(&shard.research_hourly);
+        self.request_hourly.merge(&shard.request_hourly);
+        self.response_hourly.merge(&shard.response_hourly);
+        self.research_packets += shard.research_packets;
+        self.requests.extend(shard.requests);
+        self.responses.extend(shard.responses);
+        self.baseline.extend(shard.baseline);
+        self.stats.max_stage(&shard.stats);
+    }
+
+    /// Restores capture order after [`Frontend::merge`]. Record indices
+    /// are unique, so the order is deterministic; each shard's stream is
+    /// already sorted, so the stable sort only merges those runs.
+    fn into_capture_order(mut self) -> Frontend {
+        self.requests.sort_by_key(|(index, _)| *index);
+        self.responses.sort_by_key(|(index, _)| *index);
+        self.baseline.sort_by_key(|(index, ..)| *index);
+        self
+    }
+}
+
+/// Stage 3's products.
+struct Sessions {
+    request: Vec<Session>,
+    response: Vec<Session>,
+    common: Vec<Session>,
+    /// Lifecycle counters summed over the three sessionizers (read
+    /// *before* `finish()`, which consumes them).
+    counters: SessionizerCounters,
+    /// Sessions still open when the end-of-run flush ran (the flush
+    /// closes them; `SessionMetrics::add_final` accounts for that).
+    open_at_flush: u64,
+    /// Summed open-session high-water marks.
+    peak_open: usize,
+}
+
+/// Stage 3: sessionizes the capture-order merged streams, requests and
+/// responses separately plus the TCP/ICMP baseline, in one global pass
+/// at any thread count. The flood-relevant channels (`quic` responses
+/// and the `tcp_icmp` baseline) emit their session lifecycle to
+/// `events`, record-tied events tagged with the triggering record's
+/// index; with [`NoopSubscriber`] the emission compiles away.
+fn sessionize<E: Subscriber>(
+    config: &AnalysisConfig,
+    frontend: &Frontend,
+    events: &mut E,
+) -> Sessions {
+    let session_config = SessionConfig {
+        timeout: config.session_timeout,
+        // Late packets admitted by the ingest guard lag at most its
+        // reorder tolerance behind the watermark; the sessionizer's
+        // deferred expiry must cover exactly that.
+        skew_tolerance: config.guard.reorder_tolerance,
+    };
+    let mut request = Sessionizer::new(session_config);
+    for (_, obs) in &frontend.requests {
+        request.offer_keyed(obs.ts, obs.src, obs.dissected.client_cid_key());
+    }
+    let mut response = Sessionizer::new(session_config);
+    for (index, obs) in &frontend.responses {
+        let meta = EventMeta::record(*index as u64);
+        response.offer_with(obs.ts, obs.src, "quic", &meta, events);
+    }
+    let mut common = Sessionizer::new(session_config);
+    for &(index, ts, src) in &frontend.baseline {
+        let meta = EventMeta::record(index as u64);
+        common.offer_with(ts, src, "tcp_icmp", &meta, events);
+    }
+    let peak_open =
+        request.peak_open_count() + response.peak_open_count() + common.peak_open_count();
+    let (counters, open_at_flush) = session_tally([&request, &response, &common]);
+    let lifecycle = EventMeta::lifecycle();
+    Sessions {
+        request: request.finish(),
+        response: response.finish_with("quic", &lifecycle, events),
+        common: common.finish_with("tcp_icmp", &lifecycle, events),
+        counters,
+        open_at_flush,
+        peak_open,
+    }
 }
 
 impl Analysis {
     /// Runs the complete pipeline on a scenario.
     ///
-    /// With `config.threads > 1` stages 1–3 are sharded by
+    /// With `config.threads > 1` stages 1–2 are sharded by
     /// `hash(src) % threads` across scoped worker threads; the merge
     /// is deterministic, so every analysis product is byte-identical
     /// at any thread count (only [`Analysis::stats`] differs).
     pub fn run(scenario: &Scenario, config: &AnalysisConfig) -> Analysis {
+        Self::run_with(scenario, config, &mut NoopSubscriber)
+    }
+
+    /// [`Analysis::run`], additionally mirroring the run as a typed
+    /// event stream: per-record wire rejections and Retry/VN sightings
+    /// plus the session lifecycle of the flood-relevant channels
+    /// (`quic` responses and the `tcp_icmp` baseline), then one
+    /// `session_migrated` per migration link.
+    ///
+    /// The events come from the run itself. Each shard worker buffers
+    /// its wire events tagged with their absolute record index; the
+    /// merge tail sessionizes once over the capture-order streams and
+    /// buffers its record-tied session events the same way; the buffers
+    /// are stable-merged by record index (a record's wire events ahead
+    /// of its session events), so the stream is byte-identical at every
+    /// `config.threads`. A disabled subscriber (`enabled() == false`)
+    /// collects nothing: `run_with` then costs exactly what
+    /// [`Analysis::run`] does.
+    pub fn run_with<S: Subscriber>(
+        scenario: &Scenario,
+        config: &AnalysisConfig,
+        subscriber: &mut S,
+    ) -> Analysis {
         let threads = config.threads.max(1);
-        let frontend = if threads == 1 {
-            Self::frontend_sequential(scenario, config)
+        let (frontend, shard_stats, mut events) =
+            Self::frontend(scenario, config, threads, subscriber.enabled());
+        let mut stats = frontend.stats.clone();
+
+        // 3. Sessionize, once, in the single-threaded merge tail.
+        let sessionize_start = Instant::now();
+        let sessions = if subscriber.enabled() {
+            sessionize(config, &frontend, &mut events)
         } else {
-            Self::frontend_parallel(scenario, config, threads)
+            sessionize(config, &frontend, &mut NoopSubscriber)
         };
-        let FrontendProducts {
+        stats.sessionize_ms = ms(sessionize_start);
+        stats.peak_open_sessions = sessions.peak_open;
+        events.sort_by_record_index();
+        events.replay_into(subscriber);
+        let Frontend {
             ingest,
             research_sources,
             research_hourly,
@@ -219,26 +359,40 @@ impl Analysis {
             research_packets,
             requests,
             responses,
-            mut request_sessions,
-            mut response_sessions,
-            mut common_sessions,
-            mut stats,
-            session_counters,
-            sessions_open_at_flush,
-            shard_stats,
+            ..
         } = frontend;
-
-        // Deterministic session order regardless of close order or
-        // shard interleaving.
-        sort_sessions(&mut request_sessions);
-        sort_sessions(&mut response_sessions);
-        sort_sessions(&mut common_sessions);
+        let requests: Vec<QuicObservation> = requests.into_iter().map(|(_, obs)| obs).collect();
+        let responses: Vec<QuicObservation> = responses.into_iter().map(|(_, obs)| obs).collect();
+        let Sessions {
+            request: mut request_sessions,
+            response: response_sessions,
+            common: common_sessions,
+            counters: session_counters,
+            open_at_flush: sessions_open_at_flush,
+            ..
+        } = sessions;
 
         // 3b. CID-keyed migration linking on the merged request
         // sessions. Running after the cross-shard merge keeps the pass
         // shard-invariant even though a migrating flow's addresses can
         // land in different shards.
         let migrations = link_migrations(&mut request_sessions, config.session_timeout);
+        if subscriber.enabled() {
+            let meta = EventMeta::lifecycle();
+            for link in &migrations {
+                subscriber.on_session_migrated(
+                    &meta,
+                    &SessionMigrated {
+                        at: link.at,
+                        from: link.from,
+                        to: link.to,
+                        channel: "quic_request".to_string(),
+                        cid_key: link.cid_key,
+                        gap: link.gap,
+                    },
+                );
+            }
+        }
 
         // 4. DoS inference.
         let detect_start = Instant::now();
@@ -282,9 +436,9 @@ impl Analysis {
         metrics.dos.observe_attacks(&quic_attacks);
         metrics.dos.observe_attacks(&common_attacks);
         for shard in &shard_stats {
-            metrics.stages.observe_frontend(shard);
+            metrics.stages.observe_shard(shard);
         }
-        metrics.stages.observe_detect(stats.detect_ms);
+        metrics.stages.observe_tail(&stats);
         metrics.stages.set_totals(&stats);
 
         Analysis {
@@ -310,364 +464,58 @@ impl Analysis {
         }
     }
 
-    /// [`Analysis::run`], additionally mirroring the run as a typed
-    /// event stream: per-record wire rejections and Retry/VN sightings
-    /// plus the session lifecycle of the flood-relevant channels
-    /// (`quic` responses and the `tcp_icmp` baseline).
+    /// Stages 1–2 sharded by `hash(src) % threads` (on the calling
+    /// thread when `threads == 1`, else across scoped worker threads),
+    /// merged back into capture order. Returns the merged products, one
+    /// `PipelineStats` per shard (for the stage histograms), and — when
+    /// `collect_events` — the shards' wire events, not yet ordered.
     ///
-    /// The events come from a dedicated single-threaded forensic
-    /// re-pass over the capture — never from the sharded workers — so
-    /// the stream is byte-identical at every `config.threads`, and a
-    /// disabled subscriber (`enabled() == false`) skips the re-pass
-    /// entirely: `run_with` then costs exactly what [`Analysis::run`]
-    /// does.
-    pub fn run_with<S: Subscriber>(
-        scenario: &Scenario,
-        config: &AnalysisConfig,
-        subscriber: &mut S,
-    ) -> Analysis {
-        let analysis = Self::run(scenario, config);
-        if subscriber.enabled() {
-            Self::emit_events(scenario, &analysis, subscriber);
-        }
-        analysis
-    }
-
-    /// The forensic event re-pass behind [`Analysis::run_with`]: a
-    /// fresh guard+dissect pipeline replays the capture record by
-    /// record (each event tagged with its absolute record index), and
-    /// the admitted flood-relevant streams drive event-emitting
-    /// sessionizers. Research scanners are excluded using the already
-    /// computed [`Analysis::research_sources`], so the sessions traced
-    /// here are exactly the `response_sessions` / `common_sessions` the
-    /// detector consumed.
-    fn emit_events<S: Subscriber>(scenario: &Scenario, analysis: &Analysis, subscriber: &mut S) {
-        let session_config = SessionConfig {
-            timeout: analysis.config.session_timeout,
-            skew_tolerance: analysis.config.guard.reorder_tolerance,
-        };
-        let mut pipeline = TelescopePipeline::with_guard(analysis.config.guard);
-        let mut response_sessionizer = Sessionizer::new(session_config);
-        let mut common_sessionizer = Sessionizer::new(session_config);
-        for (index, record) in scenario.records.iter().enumerate() {
-            let meta = EventMeta::record(index as u64);
-            match pipeline.admit_with(record, &meta, subscriber) {
-                Admitted::Quic(obs) => {
-                    if obs.direction == Direction::Response
-                        && !analysis.research_sources.contains(&obs.src)
-                    {
-                        response_sessionizer.offer_with(obs.ts, obs.src, "quic", &meta, subscriber);
-                    }
-                }
-                Admitted::Baseline(rec) => {
-                    common_sessionizer.offer_with(rec.ts, rec.src, "tcp_icmp", &meta, subscriber);
-                }
-                Admitted::Dropped => {}
-            }
-        }
-        let meta = EventMeta::lifecycle();
-        response_sessionizer.finish_with("quic", &meta, subscriber);
-        common_sessionizer.finish_with("tcp_icmp", &meta, subscriber);
-        // Migration links are a deterministic post-pass product of the
-        // batch run (the request channel is not re-sessionized here);
-        // mirror each link as a typed lifecycle event.
-        for link in &analysis.migrations {
-            subscriber.on_session_migrated(
-                &meta,
-                &SessionMigrated {
-                    at: link.at,
-                    from: link.from,
-                    to: link.to,
-                    channel: "quic_request".to_string(),
-                    cid_key: link.cid_key,
-                    gap: link.gap,
-                },
-            );
-        }
-    }
-
-    /// Stages 1–3, single-threaded (the `threads == 1` path).
-    fn frontend_sequential(scenario: &Scenario, config: &AnalysisConfig) -> FrontendProducts {
-        let mut stats = PipelineStats::default();
-
-        // 1. Ingest.
-        let ingest_start = Instant::now();
-        let mut pipeline = TelescopePipeline::with_guard(config.guard);
-        pipeline.ingest_all(&scenario.records);
-        let (observations, baseline, ingest) = pipeline.finish();
-        stats.ingest_ms = ms(ingest_start);
-
-        // 2. Sanitize: behavioural detection corroborated by PeeringDB.
-        let sanitize_start = Instant::now();
-        let filter = ResearchFilter::detect_with_asdb(
-            &observations,
-            &scenario.world.asdb,
-            config.research_min_packets,
-            config.research_min_dsts,
-        );
-        let research_sources = filter.sources().clone();
-
-        let mut research_hourly = HourlySeries::new();
-        let mut request_hourly = HourlySeries::new();
-        let mut response_hourly = HourlySeries::new();
-        let mut research_packets = 0u64;
-        let mut requests = Vec::new();
-        let mut responses = Vec::new();
-        for obs in observations {
-            if filter.is_research(obs.src) {
-                research_packets += 1;
-                research_hourly.add(obs.ts);
-                continue;
-            }
-            match obs.direction {
-                Direction::Request => {
-                    request_hourly.add(obs.ts);
-                    requests.push(obs);
-                }
-                Direction::Response => {
-                    response_hourly.add(obs.ts);
-                    responses.push(obs);
-                }
-            }
-        }
-        stats.sanitize_ms = ms(sanitize_start);
-
-        // 3. Sessionize (observations are in capture order).
-        let sessionize_start = Instant::now();
-        let session_config = SessionConfig {
-            timeout: config.session_timeout,
-            // Late packets admitted by the ingest guard lag at most its
-            // reorder tolerance behind the watermark; the sessionizer's
-            // deferred expiry must cover exactly that.
-            skew_tolerance: config.guard.reorder_tolerance,
-        };
-        let mut request_sessionizer = Sessionizer::new(session_config);
-        for obs in &requests {
-            request_sessionizer.offer_keyed(obs.ts, obs.src, obs.dissected.client_cid_key());
-        }
-        let mut response_sessionizer = Sessionizer::new(session_config);
-        for obs in &responses {
-            response_sessionizer.offer(obs.ts, obs.src);
-        }
-        let mut common_sessionizer = Sessionizer::new(session_config);
-        for record in &baseline {
-            common_sessionizer.offer(record.ts, record.src);
-        }
-        stats.peak_open_sessions = request_sessionizer.peak_open_count()
-            + response_sessionizer.peak_open_count()
-            + common_sessionizer.peak_open_count();
-        let (session_counters, sessions_open_at_flush) = session_tally([
-            &request_sessionizer,
-            &response_sessionizer,
-            &common_sessionizer,
-        ]);
-        let request_sessions = request_sessionizer.finish();
-        let response_sessions = response_sessionizer.finish();
-        let common_sessions = common_sessionizer.finish();
-        stats.sessionize_ms = ms(sessionize_start);
-
-        let shard_stats = vec![stats.clone()];
-        FrontendProducts {
-            ingest,
-            research_sources,
-            research_hourly,
-            request_hourly,
-            response_hourly,
-            research_packets,
-            requests,
-            responses,
-            request_sessions,
-            response_sessions,
-            common_sessions,
-            stats,
-            session_counters,
-            sessions_open_at_flush,
-            shard_stats,
-        }
-    }
-
-    /// Stages 1–3 sharded by `hash(src) % threads` across scoped
-    /// worker threads.
-    ///
-    /// Every per-source computation (dissection is per-packet;
-    /// research detection, sessionization and the hourly split are
-    /// per-source) sees exactly the packets it would see sequentially,
-    /// because a source's packets all land in one shard in capture
-    /// order. The merge restores capture order via the original record
-    /// indices, so the output equals the sequential path bit for bit.
-    fn frontend_parallel(
+    /// Every per-source computation (dissection is per-packet; research
+    /// detection, the guard and the hourly split are per-source) sees
+    /// exactly the packets it would see sequentially, because a
+    /// source's packets all land in one shard in capture order.
+    fn frontend(
         scenario: &Scenario,
         config: &AnalysisConfig,
         threads: usize,
-    ) -> FrontendProducts {
-        let records = &scenario.records;
-        let asdb = &scenario.world.asdb;
-        let session_config = SessionConfig {
-            timeout: config.session_timeout,
-            skew_tolerance: config.guard.reorder_tolerance,
+        collect_events: bool,
+    ) -> (Frontend, Vec<PipelineStats>, VecSubscriber) {
+        let buckets = partition_by_source(&scenario.records, threads);
+        let run_shard = |indices: &[usize]| {
+            let mut events = VecSubscriber::new();
+            let shard = if collect_events {
+                Frontend::run(scenario, config, indices, &mut events)
+            } else {
+                Frontend::run(scenario, config, indices, &mut NoopSubscriber)
+            };
+            (shard, events)
         };
-        let buckets = partition_by_source(records, threads);
-
-        let run_shard = |indices: &[usize]| -> ShardProducts {
-            let mut stats = PipelineStats::default();
-
-            // 1. Ingest (this shard's records only).
-            let ingest_start = Instant::now();
-            let shard = ingest_shard_with(records, indices, config.guard);
-            stats.ingest_ms = ms(ingest_start);
-
-            // 2. Sanitize. Research detection is a per-source
-            // aggregation, and sources never span shards, so the
-            // per-shard result is the global result restricted to
-            // this shard.
-            let sanitize_start = Instant::now();
-            let filter = ResearchFilter::detect_with_asdb(
-                &shard.quic,
-                asdb,
-                config.research_min_packets,
-                config.research_min_dsts,
-            );
-            let research_sources = filter.sources().clone();
-
-            let mut research_hourly = HourlySeries::new();
-            let mut request_hourly = HourlySeries::new();
-            let mut response_hourly = HourlySeries::new();
-            let mut research_packets = 0u64;
-            let mut requests = Vec::new();
-            let mut responses = Vec::new();
-            for (obs, index) in shard.quic.into_iter().zip(shard.quic_index) {
-                if filter.is_research(obs.src) {
-                    research_packets += 1;
-                    research_hourly.add(obs.ts);
-                    continue;
-                }
-                match obs.direction {
-                    Direction::Request => {
-                        request_hourly.add(obs.ts);
-                        requests.push((index, obs));
-                    }
-                    Direction::Response => {
-                        response_hourly.add(obs.ts);
-                        responses.push((index, obs));
-                    }
-                }
-            }
-            stats.sanitize_ms = ms(sanitize_start);
-
-            // 3. Sessionize this shard's per-source streams.
-            let sessionize_start = Instant::now();
-            let mut request_sessionizer = Sessionizer::new(session_config);
-            for (_, obs) in &requests {
-                request_sessionizer.offer_keyed(obs.ts, obs.src, obs.dissected.client_cid_key());
-            }
-            let mut response_sessionizer = Sessionizer::new(session_config);
-            for (_, obs) in &responses {
-                response_sessionizer.offer(obs.ts, obs.src);
-            }
-            let mut common_sessionizer = Sessionizer::new(session_config);
-            for record in &shard.baseline {
-                common_sessionizer.offer(record.ts, record.src);
-            }
-            stats.peak_open_sessions = request_sessionizer.peak_open_count()
-                + response_sessionizer.peak_open_count()
-                + common_sessionizer.peak_open_count();
-            let (session_counters, sessions_open_at_flush) = session_tally([
-                &request_sessionizer,
-                &response_sessionizer,
-                &common_sessionizer,
-            ]);
-            let request_sessions = request_sessionizer.finish();
-            let response_sessions = response_sessionizer.finish();
-            let common_sessions = common_sessionizer.finish();
-            stats.sessionize_ms = ms(sessionize_start);
-
-            ShardProducts {
-                ingest: shard.stats,
-                research_sources,
-                research_hourly,
-                request_hourly,
-                response_hourly,
-                research_packets,
-                requests,
-                responses,
-                request_sessions,
-                response_sessions,
-                common_sessions,
-                stats,
-                session_counters,
-                sessions_open_at_flush,
-            }
+        let shards: Vec<(Frontend, VecSubscriber)> = if threads == 1 {
+            vec![run_shard(&buckets[0])]
+        } else {
+            let run_shard = &run_shard;
+            crossbeam::thread::scope(|scope| {
+                let handles: Vec<_> = buckets
+                    .iter()
+                    .map(|indices| scope.spawn(move |_| run_shard(indices)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("analysis shard worker panicked"))
+                    .collect()
+            })
+            .expect("analysis scope panicked")
         };
 
-        let run_shard = &run_shard;
-        let shards: Vec<ShardProducts> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .iter()
-                .map(|indices| scope.spawn(move |_| run_shard(indices)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("analysis shard worker panicked"))
-                .collect()
-        })
-        .expect("analysis scope panicked");
-
-        // Deterministic merge.
-        let mut ingest = IngestStats::default();
-        let mut research_sources = HashSet::new();
-        let mut research_hourly = HourlySeries::new();
-        let mut request_hourly = HourlySeries::new();
-        let mut response_hourly = HourlySeries::new();
-        let mut research_packets = 0u64;
-        let mut tagged_requests: Vec<(usize, QuicObservation)> = Vec::new();
-        let mut tagged_responses: Vec<(usize, QuicObservation)> = Vec::new();
-        let mut request_sessions = Vec::new();
-        let mut response_sessions = Vec::new();
-        let mut common_sessions = Vec::new();
-        let mut stats = PipelineStats::default();
-        let mut session_counters = SessionizerCounters::default();
-        let mut sessions_open_at_flush = 0u64;
-        let mut shard_stats = Vec::new();
-        for shard in shards {
-            ingest.merge(&shard.ingest);
-            research_sources.extend(shard.research_sources);
-            research_hourly.merge(&shard.research_hourly);
-            request_hourly.merge(&shard.request_hourly);
-            response_hourly.merge(&shard.response_hourly);
-            research_packets += shard.research_packets;
-            tagged_requests.extend(shard.requests);
-            tagged_responses.extend(shard.responses);
-            request_sessions.extend(shard.request_sessions);
-            response_sessions.extend(shard.response_sessions);
-            common_sessions.extend(shard.common_sessions);
-            stats.max_stage(&shard.stats);
-            session_counters.merge(&shard.session_counters);
-            sessions_open_at_flush += shard.sessions_open_at_flush;
-            shard_stats.push(shard.stats);
+        let mut merged = Frontend::default();
+        let mut shard_stats = Vec::with_capacity(shards.len());
+        let mut events = VecSubscriber::new();
+        for (shard, shard_events) in shards {
+            shard_stats.push(shard.stats.clone());
+            merged.merge(shard);
+            events.events.extend(shard_events.events);
         }
-        // Original record indices are unique → deterministic order.
-        tagged_requests.sort_unstable_by_key(|(index, _)| *index);
-        tagged_responses.sort_unstable_by_key(|(index, _)| *index);
-        let requests = tagged_requests.into_iter().map(|(_, obs)| obs).collect();
-        let responses = tagged_responses.into_iter().map(|(_, obs)| obs).collect();
-
-        FrontendProducts {
-            ingest,
-            research_sources,
-            research_hourly,
-            request_hourly,
-            response_hourly,
-            research_packets,
-            requests,
-            responses,
-            request_sessions,
-            response_sessions,
-            common_sessions,
-            stats,
-            session_counters,
-            sessions_open_at_flush,
-            shard_stats,
-        }
+        (merged.into_capture_order(), shard_stats, events)
     }
 
     /// The reconciliation invariant, checked end to end: every exported
@@ -913,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn event_repass_mirrors_sessions_and_ignores_thread_count() {
+    fn run_with_events_mirror_sessions_at_any_thread_count() {
         use quicsand_events::{Event, VecSubscriber};
         let scenario = Scenario::generate(&ScenarioConfig::test());
         let run = |threads: usize| {
@@ -949,11 +797,13 @@ mod tests {
             .count() as u64;
         assert_eq!(rejected, sequential.ingest.quarantine.total());
 
-        let (_, parallel_events) = run(4);
-        assert_eq!(
-            events, parallel_events,
-            "the forensic re-pass is single-threaded by construction"
-        );
+        for threads in [2usize, 8] {
+            let (_, parallel_events) = run(threads);
+            assert_eq!(
+                events, parallel_events,
+                "{threads}-thread events must merge back into the 1-thread stream"
+            );
+        }
     }
 
     #[test]

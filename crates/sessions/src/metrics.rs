@@ -24,9 +24,10 @@ pub struct SessionMetrics {
     /// idle expiries, and the end-of-run flush).
     pub closed_total: Counter,
     /// `quicsand_sessions_expired_total` — the watermark-sweep subset
-    /// of the closes (volatile: a shard's watermark only advances on
-    /// its own sources' packets, so the sweep/flush split depends on
-    /// the shard count even though the total close count does not).
+    /// of the closes (volatile: a live shard's watermark only advances
+    /// on its own sources' packets, so the sweep/flush split depends on
+    /// the shard count even though the total close count does not;
+    /// batch sessionizes once, globally, at any `--threads`).
     pub expired_total: Counter,
     /// `quicsand_sessions_open` — instantaneous open sessions at the
     /// last sync point (volatile: a point-in-time reading).

@@ -240,9 +240,9 @@ impl IngestMetrics {
 }
 
 /// Stage-timing metrics over [`PipelineStats`]: walltime histograms
-/// (one observation per shard in batch mode, per chunk in live mode)
-/// plus end-of-run total gauges. All `Volatile` except the peak-session
-/// high-water mark, which is a pure function of the trace.
+/// (batch: one ingest/sanitize observation per shard and one
+/// sessionize/detect observation per run; live: one per chunk)
+/// plus end-of-run total gauges. All `Volatile`.
 #[derive(Debug, Clone)]
 pub struct StageMetrics {
     /// `quicsand_stage_walltime_micros{stage="ingest"}`.
@@ -307,8 +307,8 @@ impl StageMetrics {
                 "Worker threads (batch) or shards (live) used",
                 Stability::Volatile,
             ),
-            // Volatile: per-shard peaks are summed, so the value depends
-            // on the shard count, not only on the trace.
+            // Volatile: live shards' peaks are summed, so the value
+            // depends on the shard count, not only on the trace.
             peak_open_sessions: registry.gauge(
                 "quicsand_pipeline_peak_open_sessions",
                 "Sum of per-sessionizer/per-detector open-state high-water marks",
@@ -321,24 +321,25 @@ impl StageMetrics {
     /// distribution histograms. Zero-length stages still count — a
     /// too-fast-to-measure stage is an observation, not a gap.
     pub fn observe_stages(&self, stats: &PipelineStats) {
-        self.observe_frontend(stats);
-        self.detect_walltime.observe(ms_to_micros(stats.detect_ms));
+        self.observe_shard(stats);
+        self.observe_tail(stats);
     }
 
-    /// Records only the frontend stages (ingest/sanitize/sessionize) —
-    /// for batch shards, where detection runs once after the merge and
-    /// is observed separately via [`StageMetrics::observe_detect`].
-    pub fn observe_frontend(&self, stats: &PipelineStats) {
+    /// Records only the sharded stages (ingest/sanitize) — for batch
+    /// shards, whose products the merge tail sessionizes and detects
+    /// on once ([`StageMetrics::observe_tail`]).
+    pub fn observe_shard(&self, stats: &PipelineStats) {
         self.ingest_walltime.observe(ms_to_micros(stats.ingest_ms));
         self.sanitize_walltime
             .observe(ms_to_micros(stats.sanitize_ms));
-        self.sessionize_walltime
-            .observe(ms_to_micros(stats.sessionize_ms));
     }
 
-    /// Records a detect-stage walltime (milliseconds) on its own.
-    pub fn observe_detect(&self, detect_ms: f64) {
-        self.detect_walltime.observe(ms_to_micros(detect_ms));
+    /// Records the merge-tail stages (sessionize/detect) — once per
+    /// batch run.
+    pub fn observe_tail(&self, stats: &PipelineStats) {
+        self.sessionize_walltime
+            .observe(ms_to_micros(stats.sessionize_ms));
+        self.detect_walltime.observe(ms_to_micros(stats.detect_ms));
     }
 
     /// Publishes end-of-run totals (gauges are last-write-wins, so this

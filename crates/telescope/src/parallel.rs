@@ -18,7 +18,8 @@
 //! whose output is unspecified across releases), so a given capture
 //! shards identically everywhere.
 
-use crate::pipeline::{GuardConfig, IngestStats, QuicObservation, TelescopePipeline};
+use crate::pipeline::{Admitted, GuardConfig, IngestStats, QuicObservation, TelescopePipeline};
+use quicsand_events::{EventMeta, NoopSubscriber, Subscriber};
 use quicsand_net::PacketRecord;
 use std::net::Ipv4Addr;
 
@@ -86,30 +87,37 @@ pub fn ingest_shard_with(
     indices: &[usize],
     guard: GuardConfig,
 ) -> ShardIngest {
+    ingest_shard_with_events(records, indices, guard, &mut NoopSubscriber)
+}
+
+/// [`ingest_shard_with`] with typed-event emission: every event carries
+/// its record's original capture index ([`EventMeta::record`]), so
+/// per-shard collections merge back into capture order. With
+/// [`NoopSubscriber`] this is exactly [`ingest_shard_with`].
+pub fn ingest_shard_with_events<S: Subscriber>(
+    records: &[PacketRecord],
+    indices: &[usize],
+    guard: GuardConfig,
+    subscriber: &mut S,
+) -> ShardIngest {
     let mut pipeline = TelescopePipeline::with_guard(guard);
-    let mut quic_index = Vec::new();
-    let mut baseline_index = Vec::new();
+    let mut shard = ShardIngest::default();
     for &index in indices {
-        let before_quic = pipeline.quic_observations().len();
-        let before_baseline = pipeline.baseline_records().len();
-        pipeline.ingest(&records[index]);
-        if pipeline.quic_observations().len() > before_quic {
-            quic_index.push(index);
-        }
-        if pipeline.baseline_records().len() > before_baseline {
-            baseline_index.push(index);
+        let meta = EventMeta::record(index as u64);
+        match pipeline.admit_with(&records[index], &meta, subscriber) {
+            Admitted::Quic(obs) => {
+                shard.quic.push(obs);
+                shard.quic_index.push(index);
+            }
+            Admitted::Baseline(record) => {
+                shard.baseline.push(record);
+                shard.baseline_index.push(index);
+            }
+            Admitted::Dropped => {}
         }
     }
-    let (quic, baseline, stats) = pipeline.finish();
-    debug_assert_eq!(quic.len(), quic_index.len());
-    debug_assert_eq!(baseline.len(), baseline_index.len());
-    ShardIngest {
-        quic,
-        quic_index,
-        baseline,
-        baseline_index,
-        stats,
-    }
+    shard.stats = pipeline.finish().2;
+    shard
 }
 
 /// Merges per-shard ingest outputs back into exact capture order.

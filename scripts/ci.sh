@@ -162,6 +162,21 @@ events_smoke() {
     echo "events-smoke: exported qlog failed framing validation" >&2
     exit 1
   }
+  # Batch parity: analyze emits its events from the sharded run itself,
+  # so the stream must be byte-identical at any --threads.
+  for threads in 1 2; do
+    cargo run -q $profile -- analyze "$events_dir/ref.qscp" --threads "$threads" \
+      --events-out "$events_dir/analyze-$threads.qlog" >/dev/null
+  done
+  cmp "$events_dir/analyze-1.qlog" "$events_dir/analyze-2.qlog" || {
+    echo "events-smoke: analyze --events-out differs between --threads 1 and 2" >&2
+    exit 1
+  }
+  cargo run -q $profile -- forensics check "$events_dir/analyze-2.qlog" \
+    | grep -q 'valid qlog JSON-SEQ' || {
+    echo "events-smoke: analyze qlog failed framing validation" >&2
+    exit 1
+  }
   forensics_out="$(cargo run -q $profile -- forensics "$events_dir/ref.qscp" \
     --out "$events_dir/slices" --replay 2>&1)"
   echo "$forensics_out" | grep -qE '^forensics: [1-9][0-9]* alert slice\(s\) exported' || {
@@ -177,7 +192,7 @@ events_smoke() {
   # One slice is itself a valid JSON-SEQ document.
   first_slice="$(find "$events_dir/slices" -name 'alert-*.qlog' | sort | head -1)"
   cargo run -q $profile -- forensics check "$first_slice" >/dev/null
-  echo "events-smoke: qlog framing valid, every closed alert replayed — OK"
+  echo "events-smoke: qlog framing valid, batch events thread-invariant, every closed alert replayed — OK"
 }
 
 scenario_smoke() {

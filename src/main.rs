@@ -84,9 +84,9 @@ USAGE:
         pipeline's stats.
         --events-out mirrors the run as a typed event stream in qlog
         0.4 JSON-SEQ (RFC 7464) — wire rejections, Retry/VN
-        sightings, session lifecycle — via a single-threaded forensic
-        re-pass, so the stream is identical at any --threads. An
-        unwritable path fails before the pipeline runs.
+        sightings, session lifecycle — emitted by the run itself and
+        merged by record index, so the stream is identical at any
+        --threads. An unwritable path fails before the pipeline runs.
 
     quicsand metrics <file.qscp> [--format prometheus|json] [--threads N]
                      [--fault-profile ...] [--fault-seed N] [--stable-only]
@@ -160,12 +160,47 @@ USAGE:
     quicsand experiments [--scale test|demo|paper] [--threads N]
         Regenerate every paper table/figure and print the reports.";
 
+/// Every flag that takes a value; any other `--flag` is a boolean
+/// switch. [`flag_value`] and [`flag_values`] assert membership in
+/// debug builds, so a new value-taking flag cannot be missed here.
+const VALUE_FLAGS: &[&str] = &[
+    "--adaptive",
+    "--alert-format",
+    "--checkpoint-every",
+    "--chunk",
+    "--escalate",
+    "--events-out",
+    "--evidence-ring",
+    "--fault-profile",
+    "--fault-seed",
+    "--format",
+    "--input",
+    "--max-victims",
+    "--metrics-out",
+    "--out",
+    "--pcap",
+    "--pps",
+    "--requests",
+    "--scale",
+    "--scenario",
+    "--seed",
+    "--shards",
+    "--source-batch",
+    "--source-queue",
+    "--source-rate",
+    "--threads",
+    "--weight",
+    "--window",
+    "--workers",
+];
+
 /// Looks up the value following `name`.
 ///
 /// `Ok(None)` when the flag is absent; an error when the flag is
 /// present but its value is missing or looks like another flag
 /// (`--out --scale` used to happily write a file named `--scale`).
 fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    debug_assert!(VALUE_FLAGS.contains(&name), "{name} is not in VALUE_FLAGS");
     let Some(i) = args.iter().position(|a| a == name) else {
         return Ok(None);
     };
@@ -181,6 +216,7 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, Str
 /// Collects every value of a repeatable flag (`--input a --input b`),
 /// with the same flag-shaped-value rejection as [`flag_value`].
 fn flag_values<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a str>, String> {
+    debug_assert!(VALUE_FLAGS.contains(&name), "{name} is not in VALUE_FLAGS");
     let mut values = Vec::new();
     for (i, arg) in args.iter().enumerate() {
         if arg != name {
@@ -306,12 +342,23 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// First positional argument: not a flag, and not a flag's value.
+/// First positional argument: not a flag, and not the value of a
+/// value-taking flag. Boolean switches (`--verbose`, `--stable-only`,
+/// `--retry`, `--replay`) take no value, so a path right after one is
+/// still the positional.
 fn positional(args: &[String]) -> Option<&String> {
-    args.iter()
-        .enumerate()
-        .find(|(i, a)| !a.starts_with("--") && (*i == 0 || !args[*i - 1].starts_with("--")))
-        .map(|(_, a)| a)
+    let mut skip_value = false;
+    for arg in args {
+        if std::mem::take(&mut skip_value) {
+            continue;
+        }
+        if arg.starts_with("--") {
+            skip_value = VALUE_FLAGS.contains(&arg.as_str());
+        } else {
+            return Some(arg);
+        }
+    }
+    None
 }
 
 /// Loads the capture at the positional path, applies any requested
@@ -319,7 +366,7 @@ fn positional(args: &[String]) -> Option<&String> {
 /// metrics reconcile with the pipeline stats — shared by `analyze` and
 /// `metrics`. Progress goes to stderr so stdout stays clean for the
 /// caller's own output. A disabled `subscriber` (the `--events-out`
-/// flag absent) skips the event re-pass entirely.
+/// flag absent) makes the run collect no events at all.
 fn run_pipeline<S: Subscriber>(
     args: &[String],
     command: &str,

@@ -123,6 +123,38 @@ fn flag_missing_value_is_rejected() {
     assert!(stderr.contains("missing its value"), "stderr: {stderr}");
 }
 
+/// A boolean switch takes no value, so a capture path right after one
+/// is still the positional argument (`analyze --verbose <capture>` used
+/// to fail with "analyze requires a capture path").
+#[test]
+fn boolean_flag_before_the_capture_path() {
+    let dir = std::env::temp_dir().join("quicsand-cli-boolean-flag");
+    std::fs::create_dir_all(&dir).unwrap();
+    let empty = dir.join("empty.qscp");
+    let header_only = quicsand_net::capture::to_bytes(&[]).unwrap();
+    std::fs::write(&empty, header_only).unwrap();
+    let path = empty.to_str().unwrap();
+
+    for (args, expect) in [
+        (["analyze", "--verbose", path], "pipeline: stages:"),
+        (
+            ["metrics", "--stable-only", path],
+            "quicsand_ingest_records_total 0",
+        ),
+    ] {
+        let output = Command::new(bin()).args(args).output().expect("run cli");
+        assert!(
+            output.status.success(),
+            "{args:?} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains(expect), "{args:?} stdout: {stdout}");
+    }
+
+    std::fs::remove_file(&empty).ok();
+}
+
 #[test]
 fn invalid_threads_is_rejected() {
     let output = Command::new(bin())
