@@ -26,7 +26,9 @@ use quicsand_sessions::multivector::{classify_multivector_with, MultiVectorRepor
 use quicsand_sessions::session::{
     link_migrations, MigrationLink, Session, SessionConfig, Sessionizer, SessionizerCounters,
 };
-use quicsand_telescope::parallel::{ingest_shard_with_events, partition_by_source};
+use quicsand_telescope::parallel::{
+    ingest_shard_with, ingest_shard_with_events, partition_by_source,
+};
 pub use quicsand_telescope::PipelineStats;
 use quicsand_telescope::{GuardConfig, HourlySeries, IngestStats, QuicObservation, ResearchFilter};
 use quicsand_traffic::Scenario;
@@ -78,18 +80,6 @@ impl Default for AnalysisConfig {
 
 fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1_000.0
-}
-
-/// Reads the lifecycle counters and still-open counts of the three
-/// channel sessionizers — must run *before* `finish()` consumes them.
-fn session_tally(sessionizers: [&Sessionizer; 3]) -> (SessionizerCounters, u64) {
-    let mut counters = SessionizerCounters::default();
-    let mut open = 0u64;
-    for sessionizer in sessionizers {
-        counters.merge(&sessionizer.counters());
-        open += sessionizer.open_count() as u64;
-    }
-    (counters, open)
 }
 
 /// All pipeline products.
@@ -157,23 +147,30 @@ struct Frontend {
     responses: Vec<(usize, QuicObservation)>,
     /// TCP/ICMP baseline `(index, ts, src)` — all sessionization needs.
     baseline: Vec<(usize, Timestamp, Ipv4Addr)>,
+    /// Wire events (rejections, Retry/VN sightings) tagged with their
+    /// record index; empty unless the run collects events.
+    events: VecSubscriber,
     stats: PipelineStats,
 }
 
 impl Frontend {
-    /// Stages 1–2 over one shard's record indices. Wire events go to
-    /// `events`, each tagged with its record index.
-    fn run<E: Subscriber>(
+    /// Stages 1–2 over one shard's record indices.
+    fn run(
         scenario: &Scenario,
         config: &AnalysisConfig,
         indices: &[usize],
-        events: &mut E,
+        collect_events: bool,
     ) -> Frontend {
         let mut frontend = Frontend::default();
 
         // 1. Ingest (this shard's records only).
         let ingest_start = Instant::now();
-        let shard = ingest_shard_with_events(&scenario.records, indices, config.guard, events);
+        let (records, guard) = (&scenario.records, config.guard);
+        let shard = if collect_events {
+            ingest_shard_with_events(records, indices, guard, &mut frontend.events)
+        } else {
+            ingest_shard_with(records, indices, guard)
+        };
         frontend.stats.ingest_ms = ms(ingest_start);
 
         // 2. Sanitize: behavioural detection corroborated by PeeringDB.
@@ -228,12 +225,14 @@ impl Frontend {
         self.requests.extend(shard.requests);
         self.responses.extend(shard.responses);
         self.baseline.extend(shard.baseline);
+        self.events.events.extend(shard.events.events);
         self.stats.max_stage(&shard.stats);
     }
 
     /// Restores capture order after [`Frontend::merge`]. Record indices
     /// are unique, so the order is deterministic; each shard's stream is
-    /// already sorted, so the stable sort only merges those runs.
+    /// already sorted, so the stable sort only merges those runs. The
+    /// wire events are ordered later, together with the session events.
     fn into_capture_order(mut self) -> Frontend {
         self.requests.sort_by_key(|(index, _)| *index);
         self.responses.sort_by_key(|(index, _)| *index);
@@ -289,9 +288,13 @@ fn sessionize<E: Subscriber>(
         let meta = EventMeta::record(index as u64);
         common.offer_with(ts, src, "tcp_icmp", &meta, events);
     }
-    let peak_open =
-        request.peak_open_count() + response.peak_open_count() + common.peak_open_count();
-    let (counters, open_at_flush) = session_tally([&request, &response, &common]);
+    let mut counters = SessionizerCounters::default();
+    let (mut open_at_flush, mut peak_open) = (0u64, 0usize);
+    for sessionizer in [&request, &response, &common] {
+        counters.merge(&sessionizer.counters());
+        open_at_flush += sessionizer.open_count() as u64;
+        peak_open += sessionizer.peak_open_count();
+    }
     let lifecycle = EventMeta::lifecycle();
     Sessions {
         request: request.finish(),
@@ -335,11 +338,12 @@ impl Analysis {
         subscriber: &mut S,
     ) -> Analysis {
         let threads = config.threads.max(1);
-        let (frontend, shard_stats, mut events) =
+        let (mut frontend, shard_stats) =
             Self::frontend(scenario, config, threads, subscriber.enabled());
         let mut stats = frontend.stats.clone();
 
         // 3. Sessionize, once, in the single-threaded merge tail.
+        let mut events = std::mem::take(&mut frontend.events);
         let sessionize_start = Instant::now();
         let sessions = if subscriber.enabled() {
             sessionize(config, &frontend, &mut events)
@@ -350,32 +354,12 @@ impl Analysis {
         stats.peak_open_sessions = sessions.peak_open;
         events.sort_by_record_index();
         events.replay_into(subscriber);
-        let Frontend {
-            ingest,
-            research_sources,
-            research_hourly,
-            request_hourly,
-            response_hourly,
-            research_packets,
-            requests,
-            responses,
-            ..
-        } = frontend;
-        let requests: Vec<QuicObservation> = requests.into_iter().map(|(_, obs)| obs).collect();
-        let responses: Vec<QuicObservation> = responses.into_iter().map(|(_, obs)| obs).collect();
-        let Sessions {
-            request: mut request_sessions,
-            response: response_sessions,
-            common: common_sessions,
-            counters: session_counters,
-            open_at_flush: sessions_open_at_flush,
-            ..
-        } = sessions;
 
         // 3b. CID-keyed migration linking on the merged request
         // sessions. Running after the cross-shard merge keeps the pass
         // shard-invariant even though a migrating flow's addresses can
         // land in different shards.
+        let mut request_sessions = sessions.request;
         let migrations = link_migrations(&mut request_sessions, config.session_timeout);
         if subscriber.enabled() {
             let meta = EventMeta::lifecycle();
@@ -397,9 +381,9 @@ impl Analysis {
         // 4. DoS inference.
         let detect_start = Instant::now();
         let quic_attacks =
-            detect_attacks(&response_sessions, AttackProtocol::Quic, &config.thresholds);
+            detect_attacks(&sessions.response, AttackProtocol::Quic, &config.thresholds);
         let common_attacks = detect_attacks(
-            &common_sessions,
+            &sessions.common,
             AttackProtocol::TcpIcmp,
             &config.thresholds,
         );
@@ -408,7 +392,7 @@ impl Analysis {
         // evidence: Retry backscatter per victim and the endpoints of
         // every migration link.
         let mut signals = VectorSignals::empty();
-        for obs in &responses {
+        for (_, obs) in &frontend.responses {
             if obs.dissected.has_retry() {
                 signals.record_retry(obs.src);
             }
@@ -420,18 +404,18 @@ impl Analysis {
         let multivector = classify_multivector_with(&quic_attacks, &common_attacks, &signals);
         stats.detect_ms = ms(detect_start);
         stats.threads = threads;
-        stats.records = ingest.total;
-        stats.quarantined = ingest.quarantine.total();
+        stats.records = frontend.ingest.total;
+        stats.quarantined = frontend.ingest.quarantine.total();
 
         // Publish everything into a fresh per-run registry at this
         // single-threaded tail: counters are exact deltas of the merged
         // stats, so they reconcile by construction at any thread count.
         let registry = MetricsRegistry::new();
         let metrics = AnalysisMetrics::register(&registry);
-        metrics.ingest.add_stats(&ingest);
+        metrics.ingest.add_stats(&frontend.ingest);
         metrics
             .sessions
-            .add_final(session_counters, sessions_open_at_flush);
+            .add_final(sessions.counters, sessions.open_at_flush);
         metrics.sessions.migrated_total.add(migrations.len() as u64);
         metrics.dos.observe_attacks(&quic_attacks);
         metrics.dos.observe_attacks(&common_attacks);
@@ -441,20 +425,23 @@ impl Analysis {
         metrics.stages.observe_tail(&stats);
         metrics.stages.set_totals(&stats);
 
+        let untag = |tagged: Vec<(usize, QuicObservation)>| -> Vec<QuicObservation> {
+            tagged.into_iter().map(|(_, obs)| obs).collect()
+        };
         Analysis {
-            ingest,
-            research_sources,
-            research_hourly,
-            request_hourly,
-            response_hourly,
-            research_packets,
-            requests,
-            responses,
+            ingest: frontend.ingest,
+            research_sources: frontend.research_sources,
+            research_hourly: frontend.research_hourly,
+            request_hourly: frontend.request_hourly,
+            response_hourly: frontend.response_hourly,
+            research_packets: frontend.research_packets,
+            requests: untag(frontend.requests),
+            responses: untag(frontend.responses),
             request_sessions,
             migrations,
-            response_sessions,
+            response_sessions: sessions.response,
             quic_attacks,
-            common_sessions,
+            common_sessions: sessions.common,
             common_attacks,
             multivector,
             stats,
@@ -464,58 +451,42 @@ impl Analysis {
         }
     }
 
-    /// Stages 1–2 sharded by `hash(src) % threads` (on the calling
-    /// thread when `threads == 1`, else across scoped worker threads),
-    /// merged back into capture order. Returns the merged products, one
-    /// `PipelineStats` per shard (for the stage histograms), and — when
-    /// `collect_events` — the shards' wire events, not yet ordered.
+    /// Stages 1–2 sharded by `hash(src) % threads` across scoped worker
+    /// threads, merged back into capture order. Returns the merged
+    /// products and one `PipelineStats` per shard (for the stage
+    /// histograms).
     ///
-    /// Every per-source computation (dissection is per-packet; research
-    /// detection, the guard and the hourly split are per-source) sees
-    /// exactly the packets it would see sequentially, because a
+    /// Every per-source computation (dissection is per-packet; the
+    /// guard, research detection and the hourly split are per-source)
+    /// sees exactly the packets it would see sequentially, because a
     /// source's packets all land in one shard in capture order.
     fn frontend(
         scenario: &Scenario,
         config: &AnalysisConfig,
         threads: usize,
         collect_events: bool,
-    ) -> (Frontend, Vec<PipelineStats>, VecSubscriber) {
+    ) -> (Frontend, Vec<PipelineStats>) {
         let buckets = partition_by_source(&scenario.records, threads);
-        let run_shard = |indices: &[usize]| {
-            let mut events = VecSubscriber::new();
-            let shard = if collect_events {
-                Frontend::run(scenario, config, indices, &mut events)
-            } else {
-                Frontend::run(scenario, config, indices, &mut NoopSubscriber)
-            };
-            (shard, events)
-        };
-        let shards: Vec<(Frontend, VecSubscriber)> = if threads == 1 {
-            vec![run_shard(&buckets[0])]
-        } else {
-            let run_shard = &run_shard;
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = buckets
-                    .iter()
-                    .map(|indices| scope.spawn(move |_| run_shard(indices)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("analysis shard worker panicked"))
-                    .collect()
-            })
-            .expect("analysis scope panicked")
-        };
+        let shards: Vec<Frontend> = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = buckets
+                .iter()
+                .map(|indices| {
+                    scope.spawn(move |_| Frontend::run(scenario, config, indices, collect_events))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("analysis shard worker panicked"))
+                .collect()
+        })
+        .expect("analysis scope panicked");
 
         let mut merged = Frontend::default();
-        let mut shard_stats = Vec::with_capacity(shards.len());
-        let mut events = VecSubscriber::new();
-        for (shard, shard_events) in shards {
-            shard_stats.push(shard.stats.clone());
+        let shard_stats = shards.iter().map(|shard| shard.stats.clone()).collect();
+        for shard in shards {
             merged.merge(shard);
-            events.events.extend(shard_events.events);
         }
-        (merged.into_capture_order(), shard_stats, events)
+        (merged.into_capture_order(), shard_stats)
     }
 
     /// The reconciliation invariant, checked end to end: every exported

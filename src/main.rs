@@ -160,39 +160,9 @@ USAGE:
     quicsand experiments [--scale test|demo|paper] [--threads N]
         Regenerate every paper table/figure and print the reports.";
 
-/// Every flag that takes a value; any other `--flag` is a boolean
-/// switch. [`flag_value`] and [`flag_values`] assert membership in
-/// debug builds, so a new value-taking flag cannot be missed here.
-const VALUE_FLAGS: &[&str] = &[
-    "--adaptive",
-    "--alert-format",
-    "--checkpoint-every",
-    "--chunk",
-    "--escalate",
-    "--events-out",
-    "--evidence-ring",
-    "--fault-profile",
-    "--fault-seed",
-    "--format",
-    "--input",
-    "--max-victims",
-    "--metrics-out",
-    "--out",
-    "--pcap",
-    "--pps",
-    "--requests",
-    "--scale",
-    "--scenario",
-    "--seed",
-    "--shards",
-    "--source-batch",
-    "--source-queue",
-    "--source-rate",
-    "--threads",
-    "--weight",
-    "--window",
-    "--workers",
-];
+/// The boolean switches: the only flags that take no value.
+/// [`has_flag`] asserts membership in debug builds.
+const SWITCHES: &[&str] = &["--replay", "--retry", "--stable-only", "--verbose"];
 
 /// Looks up the value following `name`.
 ///
@@ -200,7 +170,6 @@ const VALUE_FLAGS: &[&str] = &[
 /// present but its value is missing or looks like another flag
 /// (`--out --scale` used to happily write a file named `--scale`).
 fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    debug_assert!(VALUE_FLAGS.contains(&name), "{name} is not in VALUE_FLAGS");
     let Some(i) = args.iter().position(|a| a == name) else {
         return Ok(None);
     };
@@ -216,7 +185,6 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, Str
 /// Collects every value of a repeatable flag (`--input a --input b`),
 /// with the same flag-shaped-value rejection as [`flag_value`].
 fn flag_values<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a str>, String> {
-    debug_assert!(VALUE_FLAGS.contains(&name), "{name} is not in VALUE_FLAGS");
     let mut values = Vec::new();
     for (i, arg) in args.iter().enumerate() {
         if arg != name {
@@ -236,6 +204,7 @@ fn flag_values<'a>(args: &'a [String], name: &str) -> Result<Vec<&'a str>, Strin
 }
 
 fn has_flag(args: &[String], name: &str) -> bool {
+    debug_assert!(SWITCHES.contains(&name), "{name} is not in SWITCHES");
     args.iter().any(|a| a == name)
 }
 
@@ -343,9 +312,8 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 }
 
 /// First positional argument: not a flag, and not the value of a
-/// value-taking flag. Boolean switches (`--verbose`, `--stable-only`,
-/// `--retry`, `--replay`) take no value, so a path right after one is
-/// still the positional.
+/// value-taking flag. [`SWITCHES`] take no value, so a path right
+/// after `--verbose` is still the positional.
 fn positional(args: &[String]) -> Option<&String> {
     let mut skip_value = false;
     for arg in args {
@@ -353,7 +321,7 @@ fn positional(args: &[String]) -> Option<&String> {
             continue;
         }
         if arg.starts_with("--") {
-            skip_value = VALUE_FLAGS.contains(&arg.as_str());
+            skip_value = !SWITCHES.contains(&arg.as_str());
         } else {
             return Some(arg);
         }
