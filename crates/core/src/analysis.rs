@@ -55,9 +55,9 @@ pub struct AnalysisConfig {
     /// Behavioural research-scanner detection: minimum unique targets.
     pub research_min_dsts: u64,
     /// Worker threads for the sharded ingest→sanitize stages. `1`
-    /// runs the one shard on the calling thread; any value produces
-    /// byte-identical analysis products and events (the shard merge
-    /// is deterministic), so this only affects wall-clock time.
+    /// runs a single shard; any value produces byte-identical analysis
+    /// products and events (the shard merge is deterministic), so this
+    /// only affects wall-clock time.
     pub threads: usize,
     /// Pre-classification ingest guard: duplicate suppression and
     /// backwards-timestamp quarantine thresholds. Per-source, so the
