@@ -89,7 +89,7 @@ fn main() {
     }
 
     // Regression-gate report from the 1-shard, 4096-chunk reference run.
-    let (wall, mut engine) = reference.expect("1-shard run always executes");
+    let (wall, engine) = reference.expect("1-shard run always executes");
     engine
         .verify_metrics()
         .expect("live metrics reconcile at end of run");

@@ -168,7 +168,7 @@ fn main() {
         }
     }
 
-    let (wall, mut live) = reference.expect("4-source run always executes");
+    let (wall, live) = reference.expect("4-source run always executes");
     if let Some(max_ratio) = ratio_max_from_env() {
         let ratio = wall / base;
         assert!(

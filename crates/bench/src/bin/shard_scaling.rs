@@ -91,7 +91,7 @@ fn run_streaming(bench_scale: BenchScale, stream: StreamConfig) {
         );
     }
 
-    let (wall, mut engine) = reference.expect("1-shard run always executes");
+    let (wall, engine) = reference.expect("1-shard run always executes");
     engine
         .verify_metrics()
         .expect("metrics reconcile at end of run");

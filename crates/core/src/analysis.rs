@@ -408,11 +408,11 @@ impl Analysis {
         stats.quarantined = frontend.ingest.quarantine.total();
 
         // Publish everything into a fresh per-run registry at this
-        // single-threaded tail: counters are exact deltas of the merged
+        // single-threaded tail: counters are stored from the merged
         // stats, so they reconcile by construction at any thread count.
         let registry = MetricsRegistry::new();
         let metrics = AnalysisMetrics::register(&registry);
-        metrics.ingest.add_stats(&frontend.ingest);
+        metrics.ingest.publish(&frontend.ingest);
         metrics
             .sessions
             .add_final(sessions.counters, sessions.open_at_flush);

@@ -2,11 +2,11 @@
 //!
 //! [`Analysis::run`](crate::Analysis::run) creates one fresh
 //! [`MetricsRegistry`] per run (never process-global, so tests and
-//! embedded callers stay hermetic) and publishes every stage's counters
-//! into it at the single-threaded merge point. Counters therefore
-//! reconcile exactly with the public stats structs at any thread count
-//! — [`AnalysisMetrics::verify`] checks that invariant and is called by
-//! the CLI before any export.
+//! embedded callers stay hermetic) and, at the single-threaded merge
+//! point, stores every stage's counters from the merged stats into it.
+//! Counters therefore reconcile exactly with the public stats structs
+//! at any thread count — [`Analysis::verify_metrics`](crate::Analysis::verify_metrics)
+//! checks that invariant and is called by the CLI before any export.
 
 use quicsand_obs::MetricsRegistry;
 use quicsand_sessions::{DosMetrics, SessionMetrics};

@@ -1,18 +1,18 @@
-//! Per-[`DissectError`]-kind rejection counters.
+//! Per-[`DissectError`](crate::DissectError)-kind rejection counters.
 //!
 //! The dissector is the stage that turns port-filter candidates into
-//! validated QUIC observations; every rejection it issues lands in one
-//! of these counters. They reconcile exactly with the ingest quarantine
-//! taxonomy: each counter equals the corresponding `QuarantineStats`
-//! field, and their sum equals `IngestStats::quic_false_positives`.
+//! validated QUIC observations; every rejection it issues is one of
+//! these kinds. The counters are not incremented here: the ingest
+//! pipeline counts rejections in its quarantine taxonomy, and its
+//! metric bundle stores each `QuarantineStats` field into the matching
+//! counter, so their sum equals `IngestStats::quic_false_positives`.
 
-use crate::quic::DissectError;
 use quicsand_obs::{Counter, MetricsRegistry, Stability};
 
 /// Prometheus family name for dissector rejections.
 pub const DISSECT_REJECTED_TOTAL: &str = "quicsand_dissect_rejected_total";
 
-/// One counter per [`DissectError`] kind, registered under
+/// One counter per [`DissectError`](crate::DissectError) kind, registered under
 /// `quicsand_dissect_rejected_total{kind="..."}`.
 #[derive(Debug, Clone)]
 pub struct DissectMetrics {
@@ -49,34 +49,6 @@ impl DissectMetrics {
         }
     }
 
-    /// Handles not attached to any registry (all increments discarded
-    /// from exposition, but still countable — used by tests).
-    pub fn detached() -> Self {
-        DissectMetrics {
-            empty: Counter::detached(),
-            truncated: Counter::detached(),
-            bad_version: Counter::detached(),
-            bad_cid: Counter::detached(),
-            not_quic: Counter::detached(),
-        }
-    }
-
-    /// Counts one rejection of the given kind.
-    pub fn record(&self, error: &DissectError) {
-        self.counter_for(error).inc();
-    }
-
-    /// The counter corresponding to an error's kind.
-    pub fn counter_for(&self, error: &DissectError) -> &Counter {
-        match error {
-            DissectError::Empty => &self.empty,
-            DissectError::Truncated(_) => &self.truncated,
-            DissectError::BadVersion(_) => &self.bad_version,
-            DissectError::BadCid(_) => &self.bad_cid,
-            DissectError::NotQuic(_) => &self.not_quic,
-        }
-    }
-
     /// Sum over all kinds — reconciles with
     /// `IngestStats::quic_false_positives`.
     pub fn total(&self) -> u64 {
@@ -91,18 +63,6 @@ impl DissectMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quic::dissect_udp_payload;
-
-    #[test]
-    fn record_routes_by_kind() {
-        let metrics = DissectMetrics::detached();
-        let err = dissect_udp_payload(&[]).unwrap_err();
-        metrics.record(&err);
-        metrics.record(&err);
-        assert_eq!(metrics.empty.get(), 2);
-        assert_eq!(metrics.total(), 2);
-        assert_eq!(metrics.truncated.get(), 0);
-    }
 
     #[test]
     fn registered_counters_surface_in_exposition() {

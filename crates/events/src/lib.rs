@@ -6,7 +6,7 @@
 //! surfaced as typed event structs delivered to a [`Subscriber`].
 //!
 //! The design follows s2n-quic's `s2n-events` codegen layer: a single
-//! [`events!`] definition derives the event structs, the [`Event`]
+//! `events!` definition derives the event structs, the [`Event`]
 //! enum, and a `Subscriber` trait whose methods all default to no-ops.
 //! Emission sites are generic over `S: Subscriber` and guard event
 //! construction behind [`Subscriber::enabled`]; [`NoopSubscriber`]

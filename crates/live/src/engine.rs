@@ -92,10 +92,6 @@ pub struct LiveEngine {
     metrics: LiveMetrics,
     ingest_metrics: IngestMetrics,
     stages: StageMetrics,
-    /// Stats readings at the last metrics sync — the counters hold
-    /// exactly these values, and each sync publishes the delta.
-    synced_ingest: IngestStats,
-    synced_live: LiveStats,
 }
 
 impl LiveEngine {
@@ -126,8 +122,6 @@ impl LiveEngine {
             metrics,
             ingest_metrics,
             stages,
-            synced_ingest: IngestStats::default(),
-            synced_live: LiveStats::default(),
         }
     }
 
@@ -245,7 +239,6 @@ impl LiveEngine {
             emit_alert_events(&events, subscriber);
         }
         self.observe_closed(&events);
-        self.sync_metrics();
         events
     }
 
@@ -277,7 +270,6 @@ impl LiveEngine {
             emit_alert_events(&events, subscriber);
         }
         self.observe_closed(&events);
-        self.sync_metrics();
         events
     }
 
@@ -293,27 +285,22 @@ impl LiveEngine {
         }
     }
 
-    /// Publishes the stats-to-counter deltas accumulated since the last
-    /// sync. Called at every chunk boundary (and by restore/finish), so
-    /// exported counters reconcile exactly with
-    /// [`LiveEngine::ingest_stats`]/[`LiveEngine::live_stats`] whenever
-    /// the engine is at rest.
-    pub fn sync_metrics(&mut self) {
-        let ingest_now = self.ingest_stats();
-        self.ingest_metrics
-            .add_delta(&self.synced_ingest, &ingest_now);
-        self.synced_ingest = ingest_now;
-        let live_now = self.live_stats();
-        self.metrics.add_delta(&self.synced_live, &live_now);
-        self.synced_live = live_now;
+    /// Stores the merged stats into the metric handles. Every reader
+    /// ([`LiveEngine::registry`], [`LiveEngine::metrics`],
+    /// [`LiveEngine::stage_metrics`], [`LiveEngine::verify_metrics`])
+    /// calls this first, so the exported values are derived from the
+    /// stats at the moment they are read.
+    fn publish_metrics(&self) {
+        self.ingest_metrics.publish(&self.ingest_stats());
+        self.metrics.publish(&self.live_stats());
         self.metrics.tracked.set(self.tracked() as u64);
         self.stages.set_totals(&self.stats);
     }
 
     /// Checks the reconciliation invariant: every exported counter
     /// equals its stats field. Returns the mismatches on failure.
-    pub fn verify_metrics(&mut self) -> Result<(), Vec<String>> {
-        self.sync_metrics();
+    pub fn verify_metrics(&self) -> Result<(), Vec<String>> {
+        self.publish_metrics();
         let mut errors = Vec::new();
         if let Err(e) = self.ingest_metrics.verify(&self.ingest_stats()) {
             errors.extend(e);
@@ -334,18 +321,23 @@ impl LiveEngine {
         self.metrics.checkpoint_bytes_total.add(bytes);
     }
 
-    /// The engine's metrics registry, for exposition.
+    /// The engine's metrics registry, for exposition, with the current
+    /// stats published into it.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
+        self.publish_metrics();
         &self.registry
     }
 
-    /// The live metric handles (counters reconcile at sync points).
+    /// The live metric handles, with the current stats published.
     pub fn metrics(&self) -> &LiveMetrics {
+        self.publish_metrics();
         &self.metrics
     }
 
-    /// The per-chunk stage walltime histograms and totals.
+    /// The per-chunk stage walltime histograms and totals, with the
+    /// current totals published.
     pub fn stage_metrics(&self) -> &StageMetrics {
+        self.publish_metrics();
         &self.stages
     }
 
@@ -377,7 +369,7 @@ impl LiveEngine {
         let metrics = LiveMetrics::register(&registry);
         let ingest_metrics = IngestMetrics::register(&registry);
         let stages = StageMetrics::register(&registry);
-        let mut engine = LiveEngine {
+        let engine = LiveEngine {
             config: snapshot.config,
             guard: snapshot.guard,
             offered: snapshot.offered,
@@ -398,15 +390,13 @@ impl LiveEngine {
             metrics,
             ingest_metrics,
             stages,
-            synced_ingest: IngestStats::default(),
-            synced_live: LiveStats::default(),
         };
-        // Re-seed the fresh registry from the restored state: counters
-        // from the snapshot's stats (sync from zero cursors publishes
-        // them whole), attack distributions by re-observing the closed
-        // sets the snapshot carries — bucket counts are pure functions
-        // of the attack set, so a checkpoint/restore cycle leaves every
-        // stable metric exactly where an uninterrupted run would.
+        // Counters are derived from the restored stats whenever the
+        // registry is read. The attack distributions are observed
+        // incrementally, so re-observe the closed sets the snapshot
+        // carries — bucket counts are pure functions of the attack set,
+        // so a checkpoint/restore cycle leaves every stable metric
+        // exactly where an uninterrupted run would.
         for shard in &engine.shards {
             for classified in shard.detector.closed_quic() {
                 engine.metrics.dos.observe_attack(&classified.attack);
@@ -415,7 +405,6 @@ impl LiveEngine {
                 engine.metrics.dos.observe_attack(attack);
             }
         }
-        engine.sync_metrics();
         engine
     }
 
@@ -764,6 +753,64 @@ mod tests {
         assert_eq!(second.closed_common(), straight.closed_common());
         assert_eq!(second.live_stats(), straight.live_stats());
         assert_eq!(second.ingest_stats(), straight.ingest_stats());
+    }
+
+    /// Asserts that the counters read through `registry()` equal the
+    /// engine's stats, then that the full reconciliation holds.
+    fn assert_registry_mirrors_stats(engine: &LiveEngine, when: &str) {
+        let registry = engine.registry();
+        let (ingest, live) = (engine.ingest_stats(), engine.live_stats());
+        for (name, labels, field) in [
+            ("quicsand_ingest_records_total", &[][..], ingest.total),
+            ("quicsand_live_events_total", &[], live.events_in),
+            (
+                "quicsand_live_alerts_total",
+                &[("phase", "opened")],
+                live.opened,
+            ),
+            (
+                "quicsand_live_alerts_total",
+                &[("phase", "closed")],
+                live.closed,
+            ),
+        ] {
+            let sample = registry.sample(name, labels).expect("registered");
+            assert_eq!(sample.value(), field, "{when}: {name} {labels:?}");
+        }
+        engine
+            .verify_metrics()
+            .unwrap_or_else(|e| panic!("{when}: {}", e.join("; ")));
+    }
+
+    #[test]
+    fn registry_reads_derive_counters_without_double_counting() {
+        let records = trace(&[victim(11), victim(12), victim(13)], 120);
+        let third = records.len() / 3;
+        let mut straight = LiveEngine::new(LiveConfig::default(), GuardConfig::default(), 2);
+        straight.offer_chunk(&records[..third]);
+        assert_registry_mirrors_stats(&straight, "first mid-stream read");
+        assert_registry_mirrors_stats(&straight, "second mid-stream read");
+        straight.offer_chunk(&records[third..2 * third]);
+        assert!(straight.live_stats().opened > 0, "alerts open mid-stream");
+
+        let mut restored = LiveEngine::restore(&straight.snapshot());
+        assert_registry_mirrors_stats(&restored, "read after restore");
+        assert_registry_mirrors_stats(&restored, "second read after restore");
+        assert_eq!(
+            restored.registry().render_prometheus(true),
+            straight.registry().render_prometheus(true),
+            "a restore leaves every stable series where it was"
+        );
+
+        for engine in [&mut straight, &mut restored] {
+            engine.offer_chunk(&records[2 * third..]);
+            engine.finish();
+            assert_registry_mirrors_stats(engine, "end of stream");
+        }
+        assert_eq!(
+            restored.registry().render_prometheus(true),
+            straight.registry().render_prometheus(true),
+        );
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Metric bundle for the live engine: alert lifecycle, memory-cap
 //! evictions, and checkpoint volume.
 //!
-//! Counters mirror [`LiveStats`](crate::LiveStats) field for field and
-//! are published as deltas at chunk boundaries by the engine, so they
-//! reconcile exactly at any shard count. Attack distributions reuse the
-//! batch [`DosMetrics`] family — same names, buckets, and units — which
+//! Counters mirror [`LiveStats`] field for field. The merged detector
+//! stats are the only source of truth: the engine stores them into the
+//! handles with [`LiveMetrics::publish`] whenever its registry or
+//! metrics are read, so they reconcile exactly at any shard count and
+//! across restores. Attack distributions reuse the batch
+//! [`DosMetrics`] family — same names, buckets, and units — which
 //! is what makes live histogram totals directly comparable with a batch
 //! `analyze` over the same trace.
 
@@ -31,8 +33,8 @@ pub struct LiveMetrics {
     /// (volatile: per-shard peaks are summed, so the value depends on
     /// the shard count, not only on the trace).
     pub peak_tracked: Gauge,
-    /// `quicsand_live_tracked` — victims tracked at the last sync
-    /// (volatile: a point-in-time reading).
+    /// `quicsand_live_tracked` — victims tracked when the engine last
+    /// published (volatile: a point-in-time reading).
     pub tracked: Gauge,
     /// `quicsand_live_checkpoints_total` — checkpoints written
     /// (volatile: depends on the operator's checkpoint cadence).
@@ -74,7 +76,7 @@ impl LiveMetrics {
             ),
             tracked: registry.gauge(
                 "quicsand_live_tracked",
-                "Victims tracked at the last sync point",
+                "Victims tracked when the metrics were last published",
                 Stability::Volatile,
             ),
             checkpoints_total: registry.counter(
@@ -91,24 +93,19 @@ impl LiveMetrics {
         }
     }
 
-    /// Publishes the difference `now - prev` of two readings of the
-    /// merged detector stats (panics if a monotone field regressed).
-    pub fn add_delta(&self, prev: &LiveStats, now: &LiveStats) {
-        self.events_total
-            .add(delta(prev.events_in, now.events_in, "events_in"));
-        self.opened.add(delta(prev.opened, now.opened, "opened"));
-        self.escalated
-            .add(delta(prev.escalated, now.escalated, "escalated"));
-        self.closed.add(delta(prev.closed, now.closed, "closed"));
-        self.reclassified
-            .add(delta(prev.reclassified, now.reclassified, "reclassified"));
-        self.evictions
-            .add(delta(prev.evictions, now.evictions, "evictions"));
-        self.peak_tracked.set(now.peak_tracked as u64);
+    /// Stores a reading of the merged detector stats into the handles.
+    pub fn publish(&self, stats: &LiveStats) {
+        self.events_total.store(stats.events_in);
+        self.opened.store(stats.opened);
+        self.escalated.store(stats.escalated);
+        self.closed.store(stats.closed);
+        self.reclassified.store(stats.reclassified);
+        self.evictions.store(stats.evictions);
+        self.peak_tracked.set(stats.peak_tracked as u64);
     }
 
     /// The reconciliation invariant: every counter equals its
-    /// [`LiveStats`] field exactly (valid at sync points).
+    /// [`LiveStats`] field exactly.
     pub fn verify(&self, stats: &LiveStats) -> Result<(), Vec<String>> {
         let mut errors = Vec::new();
         let mut check = |name: &str, counter: u64, field: u64| {
@@ -140,9 +137,4 @@ impl LiveMetrics {
             Err(errors)
         }
     }
-}
-
-fn delta(prev: u64, now: u64, what: &str) -> u64 {
-    now.checked_sub(prev)
-        .unwrap_or_else(|| panic!("monotone live stats regressed: {what} {now} < {prev}"))
 }

@@ -29,9 +29,10 @@ use crate::detector::{LiveConfig, LiveStats};
 use crate::engine::{LiveEngine, LiveSnapshot};
 use quicsand_net::multi::{SourceFactory, SourceSet, SourceSetConfig, SourceStats};
 use quicsand_net::StreamSource;
-use quicsand_obs::{SourceSample, SourceSetMetrics};
+use quicsand_obs::{MetricsRegistry, SourceSample, SourceSetMetrics};
 use quicsand_telescope::{GuardConfig, IngestStats};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Current checkpoint schema version ([`MultiSnapshot::version`]).
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
@@ -108,14 +109,13 @@ fn to_samples(stats: &[SourceStats]) -> Vec<SourceSample> {
         .collect()
 }
 
-/// A [`LiveEngine`] fed by a [`SourceSet`], keeping the per-source
-/// metric bundles in sync at every chunk boundary.
+/// A [`LiveEngine`] fed by a [`SourceSet`], with per-source metric
+/// bundles derived from the set's stats whenever they are read.
 #[derive(Debug)]
 pub struct MultiSourceLive {
     engine: LiveEngine,
     set: SourceSet,
     source_metrics: SourceSetMetrics,
-    synced_sources: Vec<SourceSample>,
     exhausted: bool,
 }
 
@@ -126,20 +126,17 @@ impl MultiSourceLive {
     }
 
     /// Couples an engine (fresh or restored) to a source set and
-    /// registers the per-source families on its registry. The first
-    /// sync publishes the set's resume cursors whole, so counters cover
-    /// the full run even after a restore.
+    /// registers the per-source families on its registry. A resumed
+    /// set's stats start at its cursors, so the counters cover the full
+    /// run even after a restore.
     fn attach(engine: LiveEngine, set: SourceSet) -> Self {
         let source_metrics = SourceSetMetrics::register(engine.registry(), set.len());
-        let mut live = MultiSourceLive {
-            synced_sources: vec![SourceSample::default(); set.len()],
+        MultiSourceLive {
             engine,
             set,
             source_metrics,
             exhausted: false,
-        };
-        live.sync_sources();
-        live
+        }
     }
 
     /// Rebuilds engine and sources from a checkpoint: the engine via
@@ -155,14 +152,6 @@ impl MultiSourceLive {
         let engine = LiveEngine::restore(&snapshot.engine);
         let set = SourceSet::resume(factories, config, &cursors);
         Ok(Self::attach(engine, set))
-    }
-
-    /// Publishes per-source deltas against a fresh stats reading.
-    fn sync_sources(&mut self) {
-        let samples = to_samples(&self.set.stats());
-        self.source_metrics
-            .add_delta(&self.synced_sources, &samples);
-        self.synced_sources = samples;
     }
 
     /// Pulls up to `chunk` merged records and offers them to the
@@ -191,12 +180,9 @@ impl MultiSourceLive {
             .expect("the merged stream handles source errors internally");
         if records.is_empty() {
             self.exhausted = true;
-            self.sync_sources();
             return None;
         }
-        let events = self.engine.offer_chunk_with(&records, subscriber);
-        self.sync_sources();
-        Some(events)
+        Some(self.engine.offer_chunk_with(&records, subscriber))
     }
 
     /// Ends the stream: flushes every open session and returns the
@@ -211,9 +197,7 @@ impl MultiSourceLive {
         &mut self,
         subscriber: &mut S,
     ) -> Vec<LiveEvent> {
-        let events = self.engine.finish_with(subscriber);
-        self.sync_sources();
-        events
+        self.engine.finish_with(subscriber)
     }
 
     /// Takes a schema-v2 checkpoint of engine and source cursors.
@@ -229,12 +213,12 @@ impl MultiSourceLive {
     /// counters: engine counters equal engine stats, source counters
     /// equal source stats, and the cursors conserve records —
     /// `sum(delivered) == offered`.
-    pub fn verify_metrics(&mut self) -> Result<(), Vec<String>> {
+    pub fn verify_metrics(&self) -> Result<(), Vec<String>> {
         let mut errors = self.engine.verify_metrics().err().unwrap_or_default();
+        // One reading serves both sides: the queue gauges move while
+        // the feeds run.
         let samples = to_samples(&self.set.stats());
-        self.source_metrics
-            .add_delta(&self.synced_sources, &samples);
-        self.synced_sources = samples.clone();
+        self.source_metrics.publish(&samples);
         if let Err(e) = self.source_metrics.verify(&samples) {
             errors.extend(e);
         }
@@ -257,10 +241,12 @@ impl MultiSourceLive {
         &self.engine
     }
 
-    /// Mutable engine access (e.g. re-seeding checkpoint counters after
-    /// a restore).
-    pub fn engine_mut(&mut self) -> &mut LiveEngine {
-        &mut self.engine
+    /// The engine's registry with the engine families and the per-feed
+    /// families published from the current stats — the registry to
+    /// export.
+    pub fn registry(&self) -> &Arc<MetricsRegistry> {
+        self.source_metrics.publish(&to_samples(&self.set.stats()));
+        self.engine.registry()
     }
 
     /// Records offered to the engine so far.

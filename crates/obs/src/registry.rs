@@ -66,6 +66,14 @@ impl Counter {
         }
     }
 
+    /// Overwrites the total. Only for counters that mirror a monotone
+    /// stats field: the owner stores the field's current value, so the
+    /// exported counter still never goes backwards.
+    #[inline]
+    pub fn store(&self, v: u64) {
+        self.0.store(v, Ordering::Relaxed);
+    }
+
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)

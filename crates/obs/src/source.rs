@@ -9,10 +9,10 @@
 //! *stable* exposition stays byte-identical at any source count — the
 //! invariant the multi-source equivalence suite asserts.
 //!
-//! The bundle follows the workspace's delta-sync convention: the owner
-//! keeps plain [`SourceSample`] readings, publishes differences at sync
-//! barriers via [`SourceSetMetrics::add_delta`], and can prove
-//! counter/stats agreement at rest with [`SourceSetMetrics::verify`].
+//! The owner keeps the values in its own stats; the handles only mirror
+//! them. Whoever reads the registry first stores a fresh reading with
+//! [`SourceSetMetrics::publish`], and [`SourceSetMetrics::verify`]
+//! checks the stats-to-series mapping.
 
 use crate::registry::{Counter, Gauge, MetricsRegistry, Stability};
 use std::collections::BTreeMap;
@@ -71,7 +71,7 @@ pub struct SourceFeedMetrics {
     /// `quicsand_source_drops_total{source=...}`.
     pub drops: Counter,
     /// `quicsand_source_queue_depth{source=...}` — buffered records at
-    /// the last sync.
+    /// the last publish.
     pub queue_depth: Gauge,
     /// `quicsand_source_queue_peak{source=...}` — high-water queue
     /// occupancy.
@@ -108,7 +108,7 @@ impl SourceFeedMetrics {
             ),
             queue_depth: registry.gauge_with(
                 "quicsand_source_queue_depth",
-                "Records buffered in the feed's bounded queue at the last sync",
+                "Records buffered in the feed's bounded queue when last published",
                 Stability::Volatile,
                 labels,
             ),
@@ -149,21 +149,20 @@ impl SourceSetMetrics {
         }
     }
 
-    /// Publishes the per-feed deltas between two sample readings
-    /// (counters advance by the difference, gauges take the new value).
+    /// Stores one reading per feed into the handles: counters take the
+    /// sample's cumulative values, gauges its point-in-time ones.
     ///
     /// # Panics
-    /// When either slice disagrees with the registered feed count.
-    pub fn add_delta(&self, prev: &[SourceSample], now: &[SourceSample]) {
-        assert_eq!(prev.len(), self.feeds.len(), "one prev sample per feed");
-        assert_eq!(now.len(), self.feeds.len(), "one new sample per feed");
-        for ((feed, prev), now) in self.feeds.iter().zip(prev).zip(now) {
-            feed.records.add(now.delivered - prev.delivered);
-            feed.batches.add(now.batches - prev.batches);
-            feed.reconnects.add(now.reconnects - prev.reconnects);
-            feed.drops.add(now.drops - prev.drops);
-            feed.queue_depth.set(now.queue_depth);
-            feed.queue_peak.set(now.queue_peak);
+    /// When the slice disagrees with the registered feed count.
+    pub fn publish(&self, samples: &[SourceSample]) {
+        assert_eq!(samples.len(), self.feeds.len(), "one sample per feed");
+        for (feed, sample) in self.feeds.iter().zip(samples) {
+            feed.records.store(sample.delivered);
+            feed.batches.store(sample.batches);
+            feed.reconnects.store(sample.reconnects);
+            feed.drops.store(sample.drops);
+            feed.queue_depth.set(sample.queue_depth);
+            feed.queue_peak.set(sample.queue_peak);
         }
     }
 
@@ -247,10 +246,9 @@ mod tests {
     }
 
     #[test]
-    fn delta_sync_reconciles() {
+    fn publish_reconciles() {
         let registry = MetricsRegistry::new();
         let metrics = SourceSetMetrics::register(&registry, 2);
-        let zero = [SourceSample::default(); 2];
         let mid = [
             SourceSample {
                 delivered: 10,
@@ -266,8 +264,8 @@ mod tests {
                 ..SourceSample::default()
             },
         ];
-        metrics.add_delta(&zero, &mid);
-        metrics.verify(&mid).expect("mid sync reconciles");
+        metrics.publish(&mid);
+        metrics.verify(&mid).expect("mid reading reconciles");
         let end = [
             SourceSample {
                 delivered: 25,
@@ -284,8 +282,8 @@ mod tests {
                 ..SourceSample::default()
             },
         ];
-        metrics.add_delta(&mid, &end);
-        metrics.verify(&end).expect("end sync reconciles");
+        metrics.publish(&end);
+        metrics.verify(&end).expect("end reading reconciles");
         metrics.verify(&mid).expect_err("stale samples mismatch");
     }
 
@@ -293,8 +291,7 @@ mod tests {
     fn per_source_series_are_volatile_only() {
         let registry = MetricsRegistry::new();
         let metrics = SourceSetMetrics::register(&registry, 3);
-        metrics.add_delta(
-            &[SourceSample::default(); 3],
+        metrics.publish(
             &[SourceSample {
                 delivered: 5,
                 queue_peak: 2,

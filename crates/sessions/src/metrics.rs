@@ -10,7 +10,7 @@
 use crate::dos::{Attack, AttackProtocol};
 use crate::session::SessionizerCounters;
 use quicsand_obs::{
-    Counter, Gauge, Histogram, MetricsRegistry, Stability, ATTACK_DURATION_MICROS_BUCKETS,
+    Counter, Histogram, MetricsRegistry, Stability, ATTACK_DURATION_MICROS_BUCKETS,
     ATTACK_PACKETS_BUCKETS,
 };
 
@@ -29,9 +29,6 @@ pub struct SessionMetrics {
     /// the shard count even though the total close count does not;
     /// batch sessionizes once, globally, at any `--threads`).
     pub expired_total: Counter,
-    /// `quicsand_sessions_open` — instantaneous open sessions at the
-    /// last sync point (volatile: a point-in-time reading).
-    pub open: Gauge,
     /// `quicsand_sessions_migrated_total` — address-split session pairs
     /// re-joined by CID-keyed migration linking; each link reduces the
     /// final session count by one, so reconciliation reads
@@ -56,11 +53,6 @@ impl SessionMetrics {
             expired_total: registry.counter(
                 "quicsand_sessions_expired_total",
                 "Sessions closed by the idle watermark sweep",
-                Stability::Volatile,
-            ),
-            open: registry.gauge(
-                "quicsand_sessions_open",
-                "Open sessions at the last sync point",
                 Stability::Volatile,
             ),
             migrated_total: registry.counter(

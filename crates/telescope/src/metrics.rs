@@ -1,14 +1,17 @@
 //! Metric bundles for the ingest pipeline and its stage timings.
 //!
-//! Counters mirror [`IngestStats`]/[`QuarantineStats`] field for field.
-//! The pipeline keeps its plain (non-atomic) stats structs on the hot
-//! path and callers publish *deltas* into these shared handles at
-//! deterministic barriers — shard merge in batch mode, chunk end in
-//! live mode. That keeps per-record overhead at zero while making the
-//! reconciliation invariant (`counter == stats field`, exactly, at any
-//! shard count) hold by construction at every export point.
+//! Counters mirror [`IngestStats`]/[`QuarantineStats`](crate::QuarantineStats)
+//! field for field. The pipeline keeps its plain (non-atomic) stats
+//! structs on the hot path; the stats are the only source of truth. The
+//! owner stores the merged stats into these handles with
+//! [`IngestMetrics::publish`] when the registry is read — once at the
+//! merge tail in batch mode, at every registry read in live mode. That
+//! keeps per-record overhead at zero and makes the reconciliation
+//! invariant (`counter == stats field`, exactly, at any shard count)
+//! hold by construction at every export point; [`IngestMetrics::verify`]
+//! checks the mapping.
 
-use crate::pipeline::{IngestStats, PipelineStats, QuarantineStats};
+use crate::pipeline::{IngestStats, PipelineStats};
 use quicsand_dissect::DissectMetrics;
 use quicsand_obs::{
     Counter, Gauge, Histogram, MetricsRegistry, Stability, STAGE_WALLTIME_MICROS_BUCKETS,
@@ -34,14 +37,15 @@ pub struct IngestMetrics {
     pub other_udp: Counter,
     /// `{class="ambiguous"}` == [`IngestStats::ambiguous`].
     pub ambiguous: Counter,
-    /// Per-kind quarantine counters, one per [`QuarantineStats`] field.
+    /// Per-kind quarantine counters, one per
+    /// [`QuarantineStats`](crate::QuarantineStats) field.
     pub quarantined: QuarantineMetrics,
     /// Per-[`quicsand_dissect::DissectError`]-kind rejection counters —
     /// the dissector-originated subset of the quarantine taxonomy.
     pub dissect: DissectMetrics,
 }
 
-/// One counter per [`QuarantineStats`] field, registered under
+/// One counter per [`QuarantineStats`](crate::QuarantineStats) field, registered under
 /// `quicsand_ingest_quarantined_total{kind="..."}` with the same kind
 /// labels `QuarantineStats::as_table` prints.
 #[derive(Debug, Clone)]
@@ -76,21 +80,6 @@ impl QuarantineMetrics {
             transport_mismatch: kind("transport-mismatch"),
         }
     }
-
-    /// `(counter, stats field)` pairs in `as_table` order.
-    fn pairs<'a>(&'a self, stats: &'a QuarantineStats) -> [(&'a Counter, u64); 9] {
-        [
-            (&self.truncated, stats.truncated),
-            (&self.bad_version, stats.bad_version),
-            (&self.bad_cid, stats.bad_cid),
-            (&self.not_quic, stats.not_quic),
-            (&self.empty_payload, stats.empty_payload),
-            (&self.duplicate, stats.duplicate),
-            (&self.reordered, stats.reordered),
-            (&self.clock_skew, stats.clock_skew),
-            (&self.transport_mismatch, stats.transport_mismatch),
-        ]
-    }
 }
 
 impl IngestMetrics {
@@ -119,111 +108,75 @@ impl IngestMetrics {
         }
     }
 
-    /// Publishes the difference `now - prev` into the counters. `prev`
-    /// must be an earlier reading of the same monotone stats (panics on
-    /// regression — that would mean the stats themselves went
-    /// backwards).
-    pub fn add_delta(&self, prev: &IngestStats, now: &IngestStats) {
-        self.records_total
-            .add(delta(prev.total, now.total, "total"));
-        self.quic_candidates.add(delta(
-            prev.quic_candidates,
-            now.quic_candidates,
-            "quic_candidates",
-        ));
-        self.quic_valid
-            .add(delta(prev.quic_valid, now.quic_valid, "quic_valid"));
-        self.quic_false_positives.add(delta(
-            prev.quic_false_positives,
-            now.quic_false_positives,
-            "quic_false_positives",
-        ));
-        self.tcp.add(delta(prev.tcp, now.tcp, "tcp"));
-        self.icmp.add(delta(prev.icmp, now.icmp, "icmp"));
-        self.other_udp
-            .add(delta(prev.other_udp, now.other_udp, "other_udp"));
-        self.ambiguous
-            .add(delta(prev.ambiguous, now.ambiguous, "ambiguous"));
-        let prev_q = &prev.quarantine;
-        let now_q = &now.quarantine;
-        for ((counter, prev_v), (_, now_v)) in self
-            .quarantined
-            .pairs(prev_q)
-            .iter()
-            .zip(self.quarantined.pairs(now_q).iter())
-        {
-            counter.add(delta(*prev_v, *now_v, "quarantine kind"));
-        }
-        // The dissector-originated quarantine kinds feed the per-kind
-        // dissect counters one-to-one.
-        self.dissect
-            .empty
-            .add(delta(prev_q.empty_payload, now_q.empty_payload, "empty"));
-        self.dissect
-            .truncated
-            .add(delta(prev_q.truncated, now_q.truncated, "truncated"));
-        self.dissect
-            .bad_version
-            .add(delta(prev_q.bad_version, now_q.bad_version, "bad_version"));
-        self.dissect
-            .bad_cid
-            .add(delta(prev_q.bad_cid, now_q.bad_cid, "bad_cid"));
-        self.dissect
-            .not_quic
-            .add(delta(prev_q.not_quic, now_q.not_quic, "not_quic"));
+    /// Every mirrored `(name, counter, stats field)` triple — the one
+    /// stats-to-series mapping that [`IngestMetrics::publish`] stores
+    /// and [`IngestMetrics::verify`] checks. The dissector-originated
+    /// quarantine kinds feed the per-kind dissect counters one-to-one.
+    fn mirror<'a>(&'a self, stats: &IngestStats) -> [(&'static str, &'a Counter, u64); 22] {
+        let q = &stats.quarantine;
+        let qm = &self.quarantined;
+        let d = &self.dissect;
+        [
+            ("total", &self.records_total, stats.total),
+            (
+                "quic_candidates",
+                &self.quic_candidates,
+                stats.quic_candidates,
+            ),
+            ("quic_valid", &self.quic_valid, stats.quic_valid),
+            (
+                "quic_false_positives",
+                &self.quic_false_positives,
+                stats.quic_false_positives,
+            ),
+            ("tcp", &self.tcp, stats.tcp),
+            ("icmp", &self.icmp, stats.icmp),
+            ("other_udp", &self.other_udp, stats.other_udp),
+            ("ambiguous", &self.ambiguous, stats.ambiguous),
+            ("quarantine[truncated]", &qm.truncated, q.truncated),
+            ("quarantine[bad-version]", &qm.bad_version, q.bad_version),
+            ("quarantine[bad-cid]", &qm.bad_cid, q.bad_cid),
+            ("quarantine[not-quic]", &qm.not_quic, q.not_quic),
+            (
+                "quarantine[empty-payload]",
+                &qm.empty_payload,
+                q.empty_payload,
+            ),
+            ("quarantine[duplicate]", &qm.duplicate, q.duplicate),
+            ("quarantine[reordered]", &qm.reordered, q.reordered),
+            ("quarantine[clock-skew]", &qm.clock_skew, q.clock_skew),
+            (
+                "quarantine[transport-mismatch]",
+                &qm.transport_mismatch,
+                q.transport_mismatch,
+            ),
+            ("dissect[empty]", &d.empty, q.empty_payload),
+            ("dissect[truncated]", &d.truncated, q.truncated),
+            ("dissect[bad_version]", &d.bad_version, q.bad_version),
+            ("dissect[bad_cid]", &d.bad_cid, q.bad_cid),
+            ("dissect[not_quic]", &d.not_quic, q.not_quic),
+        ]
     }
 
-    /// Publishes a full stats struct (delta from zero).
-    pub fn add_stats(&self, stats: &IngestStats) {
-        self.add_delta(&IngestStats::default(), stats);
+    /// Stores a reading of the (monotone) stats into the counters.
+    pub fn publish(&self, stats: &IngestStats) {
+        for (_, counter, field) in self.mirror(stats) {
+            counter.store(field);
+        }
     }
 
     /// The reconciliation invariant: every counter equals its stats
     /// field exactly. Returns the list of mismatches on failure.
     pub fn verify(&self, stats: &IngestStats) -> Result<(), Vec<String>> {
         let mut errors = Vec::new();
-        let mut check = |name: &str, counter: &Counter, field: u64| {
+        for (name, counter, field) in self.mirror(stats) {
             if counter.get() != field {
                 errors.push(format!(
                     "{name}: counter {} != stats {field}",
                     counter.get()
                 ));
             }
-        };
-        check("total", &self.records_total, stats.total);
-        check(
-            "quic_candidates",
-            &self.quic_candidates,
-            stats.quic_candidates,
-        );
-        check("quic_valid", &self.quic_valid, stats.quic_valid);
-        check(
-            "quic_false_positives",
-            &self.quic_false_positives,
-            stats.quic_false_positives,
-        );
-        check("tcp", &self.tcp, stats.tcp);
-        check("icmp", &self.icmp, stats.icmp);
-        check("other_udp", &self.other_udp, stats.other_udp);
-        check("ambiguous", &self.ambiguous, stats.ambiguous);
-        for ((counter, field), (label, _)) in self
-            .quarantined
-            .pairs(&stats.quarantine)
-            .iter()
-            .zip(stats.quarantine.as_table().iter())
-        {
-            check(&format!("quarantine[{label}]"), counter, *field);
         }
-        let q = &stats.quarantine;
-        check("dissect[empty]", &self.dissect.empty, q.empty_payload);
-        check("dissect[truncated]", &self.dissect.truncated, q.truncated);
-        check(
-            "dissect[bad_version]",
-            &self.dissect.bad_version,
-            q.bad_version,
-        );
-        check("dissect[bad_cid]", &self.dissect.bad_cid, q.bad_cid);
-        check("dissect[not_quic]", &self.dissect.not_quic, q.not_quic);
         if self.dissect.total() != stats.quic_false_positives {
             errors.push(format!(
                 "dissect total {} != quic_false_positives {}",
@@ -317,14 +270,6 @@ impl StageMetrics {
         }
     }
 
-    /// Records one shard's (or chunk's) stage walltimes into the
-    /// distribution histograms. Zero-length stages still count — a
-    /// too-fast-to-measure stage is an observation, not a gap.
-    pub fn observe_stages(&self, stats: &PipelineStats) {
-        self.observe_shard(stats);
-        self.observe_tail(stats);
-    }
-
     /// Records only the sharded stages (ingest/sanitize) — for batch
     /// shards, whose products the merge tail sessionizes and detects
     /// on once ([`StageMetrics::observe_tail`]).
@@ -363,15 +308,10 @@ fn ms_to_micros(ms: f64) -> u64 {
     (ms * 1_000.0).round().max(0.0) as u64
 }
 
-fn delta(prev: u64, now: u64, what: &str) -> u64 {
-    now.checked_sub(prev)
-        .unwrap_or_else(|| panic!("monotone stats regressed: {what} {now} < {prev}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::IngestError;
+    use crate::pipeline::{IngestError, QuarantineStats};
 
     fn faked_stats() -> IngestStats {
         let mut stats = IngestStats {
@@ -395,21 +335,20 @@ mod tests {
     }
 
     #[test]
-    fn add_stats_then_verify_round_trips() {
+    fn publish_then_verify_round_trips() {
         let registry = MetricsRegistry::new();
         let metrics = IngestMetrics::register(&registry);
         let stats = faked_stats();
-        metrics.add_stats(&stats);
+        metrics.publish(&stats);
         metrics.verify(&stats).expect("counters reconcile");
     }
 
     #[test]
-    fn delta_publishing_accumulates_exactly() {
+    fn publishing_successive_readings_never_double_counts() {
         let registry = MetricsRegistry::new();
         let metrics = IngestMetrics::register(&registry);
-        let mut cursor = IngestStats::default();
         let stats = faked_stats();
-        // Publish in two installments through an intermediate reading.
+        // Publish an intermediate reading, then the final one.
         let mid = IngestStats {
             total: 50,
             tcp: 20,
@@ -419,10 +358,11 @@ mod tests {
             },
             ..IngestStats::default()
         };
-        metrics.add_delta(&cursor, &mid);
-        cursor = mid;
-        metrics.add_delta(&cursor, &stats);
-        metrics.verify(&stats).expect("two-step delta reconciles");
+        metrics.publish(&mid);
+        metrics.verify(&mid).expect("mid reading reconciles");
+        metrics.publish(&stats);
+        metrics.verify(&stats).expect("final reading reconciles");
+        metrics.verify(&mid).expect_err("stale reading mismatches");
     }
 
     #[test]
@@ -430,7 +370,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let metrics = IngestMetrics::register(&registry);
         let stats = faked_stats();
-        metrics.add_stats(&stats);
+        metrics.publish(&stats);
         metrics.records_total.inc(); // sabotage
         let errors = metrics.verify(&stats).unwrap_err();
         assert!(errors.iter().any(|e| e.starts_with("total")), "{errors:?}");
@@ -450,7 +390,8 @@ mod tests {
             peak_open_sessions: 7,
             quarantined: 0,
         };
-        stages.observe_stages(&stats);
+        stages.observe_shard(&stats);
+        stages.observe_tail(&stats);
         stages.set_totals(&stats);
         assert_eq!(stages.ingest_walltime.sum(), 1_500);
         assert_eq!(stages.totals[3].get(), 3_000);

@@ -30,7 +30,7 @@
 //!
 //! Every kind produces a full [`Scenario`]: the baseline world and
 //! flood plan stay intact, the scenario-specific traffic is layered on
-//! top, the combined capture is re-sorted and the [`GroundTruth`]
+//! top, the combined capture is re-sorted and the [`GroundTruth`](crate::GroundTruth)
 //! component counts keep adding up to the record total.
 
 use crate::config::ScenarioConfig;

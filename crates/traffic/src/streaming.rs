@@ -20,7 +20,7 @@
 //!
 //! ## Memory bound
 //!
-//! Per-victim state is a fixed-size [`VictimFlow`] (next timestamp,
+//! Per-victim state is a fixed-size `VictimFlow` (next timestamp,
 //! remaining budget, a 64-bit rng word), and the merge across victims
 //! is a binary heap holding exactly one entry per victim with records
 //! left. Memory is therefore `O(victims)` — independent of

@@ -289,6 +289,10 @@ echo "==> cargo clippy (ingest crates, zero-copy strict lane)"
 cargo clippy -p quicsand-net -p quicsand-dissect --all-targets -- \
   -D warnings -D clippy::redundant_clone -D clippy::needless_pass_by_value
 
+echo "==> cargo doc (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+  cargo doc --workspace --no-deps --keep-going
+
 echo "==> golden-figure regression suite"
 if [[ $quick -eq 0 ]]; then
   cargo test -q --release --test golden

@@ -735,15 +735,6 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
             live = restored;
             checkpoints += 1;
             checkpoint_bytes += encoded.len() as u64;
-            // restore() rebuilds the registry from the snapshot, which
-            // carries no checkpoint telemetry — re-seed the cumulative
-            // totals so the exported counters cover the whole run, not
-            // just the stretch since the last resume.
-            live.engine().metrics().checkpoints_total.add(checkpoints);
-            live.engine()
-                .metrics()
-                .checkpoint_bytes_total
-                .add(checkpoint_bytes);
             offered_at_checkpoint = live.offered();
             if verbose {
                 eprintln!(
@@ -759,13 +750,18 @@ fn cmd_live(args: &[String]) -> Result<(), String> {
     for event in live.finish_with(&mut sink) {
         emit(&event);
     }
-    finish_events_out(args, sink, live.engine().registry())?;
+    // Each restore starts a fresh registry and snapshots carry no
+    // checkpoint telemetry, so the run totals are added once, here.
+    let live_metrics = live.engine().metrics();
+    live_metrics.checkpoints_total.add(checkpoints);
+    live_metrics.checkpoint_bytes_total.add(checkpoint_bytes);
+    finish_events_out(args, sink, live.registry())?;
     // Hard invariant: live counters reconcile with the merged detector
-    // stats at this (finished) sync point — including the per-source
-    // counters and the cursor/offered conservation check.
+    // stats of the finished run — including the per-source counters
+    // and the cursor/offered conservation check.
     live.verify_metrics()
         .map_err(|e| format!("live metrics reconciliation failed: {}", e.join("; ")))?;
-    write_metrics_out(args, live.engine().registry())?;
+    write_metrics_out(args, live.registry())?;
 
     let stats = live.live_stats();
     let ingest = live.ingest_stats();

@@ -7,20 +7,17 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_quicsand")
 }
 
-#[test]
-fn generate_then_analyze_roundtrip() {
-    let dir = std::env::temp_dir().join("quicsand-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let capture = dir.join("cli.qscp");
-
+/// Generates a test-scale capture into `out` (plus any `extra` flags).
+fn generate(out: &std::path::Path, extra: &[&str]) {
     let generate = Command::new(bin())
         .args([
             "generate",
             "--out",
-            capture.to_str().unwrap(),
+            out.to_str().unwrap(),
             "--scale",
             "test",
         ])
+        .args(extra)
         .output()
         .expect("run generate");
     assert!(
@@ -30,7 +27,16 @@ fn generate_then_analyze_roundtrip() {
     );
     let stdout = String::from_utf8_lossy(&generate.stdout);
     assert!(stdout.contains("wrote"), "stdout: {stdout}");
-    assert!(capture.exists());
+    assert!(out.exists());
+}
+
+#[test]
+fn generate_then_analyze_roundtrip() {
+    let dir = std::env::temp_dir().join("quicsand-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let capture = dir.join("cli.qscp");
+
+    generate(&capture, &[]);
 
     let pcap = dir.join("cli.pcap");
     let export = Command::new(bin())
@@ -214,23 +220,7 @@ fn live_tolerates_empty_captures_standalone_and_in_a_set() {
     let empty = dir.join("empty.qscp");
     std::fs::write(&empty, b"").unwrap();
 
-    let generate = Command::new(bin())
-        .args([
-            "generate",
-            "--out",
-            capture.to_str().unwrap(),
-            "--scale",
-            "test",
-            "--seed",
-            "11",
-        ])
-        .output()
-        .expect("run generate");
-    assert!(
-        generate.status.success(),
-        "generate failed: {}",
-        String::from_utf8_lossy(&generate.stderr)
-    );
+    generate(&capture, &["--seed", "11"]);
 
     // Standalone empty capture: exits 0 with zero records, no alerts.
     let alone = Command::new(bin())
@@ -398,4 +388,90 @@ fn live_without_any_input_is_rejected() {
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("--input"), "stderr: {stderr}");
+}
+
+/// `live --metrics-out` on two feeds with mid-stream checkpoints: the
+/// exported counters agree with what the run printed, across every
+/// restore.
+#[test]
+fn live_metrics_out_counters_match_the_run_summary() {
+    let dir = std::env::temp_dir().join("quicsand-cli-live-metrics");
+    std::fs::create_dir_all(&dir).unwrap();
+    let feeds = [dir.join("a.qscp"), dir.join("b.qscp")];
+    let metrics = dir.join("m.json");
+    for (feed, seed) in feeds.iter().zip(["11", "12"]) {
+        generate(feed, &["--seed", seed]);
+    }
+
+    let live = Command::new(bin())
+        .args([
+            "live",
+            "--input",
+            feeds[0].to_str().unwrap(),
+            "--input",
+            feeds[1].to_str().unwrap(),
+            "--shards",
+            "2",
+            "--checkpoint-every",
+            "150000",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run live");
+    assert!(
+        live.status.success(),
+        "live failed: {}",
+        String::from_utf8_lossy(&live.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&live.stdout).into_owned();
+    // The number right before `marker` on the first line holding it.
+    let number_before = |marker: &str| -> u64 {
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("live:") && l.contains(marker))
+            .unwrap_or_else(|| panic!("no `{marker}` in stdout: {stdout}"));
+        let head = &line[..line.find(marker).unwrap()];
+        let word = head.split([' ', ',', '/']).rfind(|w| !w.is_empty());
+        word.and_then(|w| w.parse().ok())
+            .unwrap_or_else(|| panic!("no count before `{marker}` in `{line}`"))
+    };
+
+    // The canonical JSON exposition holds one series per line.
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    let values = |name: &str, label: &str| -> Vec<u64> {
+        let name = format!("\"name\": \"{name}\",");
+        json.lines()
+            .filter(|l| l.contains(&name) && l.contains(label))
+            .map(|l| {
+                let value = &l[l.find("\"value\": ").expect("counter or gauge") + 9..];
+                value.trim_end_matches([',', '}']).parse().unwrap()
+            })
+            .collect()
+    };
+
+    let checkpoints = number_before(" checkpoint(s) verified");
+    assert!(checkpoints >= 2, "stdout: {stdout}");
+    assert_eq!(values("quicsand_live_checkpoints_total", ""), [checkpoints]);
+    let bytes = values("quicsand_live_checkpoint_bytes_total", "");
+    assert!(
+        matches!(bytes[..], [b] if b > 0),
+        "checkpoint bytes {bytes:?}"
+    );
+
+    let per_feed = values("quicsand_source_records_total", "");
+    assert_eq!(per_feed.len(), 2);
+    assert_eq!(per_feed.iter().sum::<u64>(), number_before(" records in"));
+
+    for phase in ["opened", "escalated", "closed", "reclassified"] {
+        let label = format!("\"phase\": \"{phase}\"");
+        assert_eq!(
+            values("quicsand_live_alerts_total", &label),
+            [number_before(&format!(" {phase}"))],
+        );
+    }
+
+    for path in feeds.iter().chain([&metrics]) {
+        std::fs::remove_file(path).ok();
+    }
 }

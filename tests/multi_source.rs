@@ -236,7 +236,7 @@ fn checkpoint_restore_across_a_source_failure_is_lossless() {
         .unwrap_or_else(|e| panic!("restored run fails reconciliation: {}", e.join("; ")));
 
     // The spliced run equals an uninterrupted, failure-free reference.
-    let (want_events, mut reference) = reference_run(&merged, 2, 1024);
+    let (want_events, reference) = reference_run(&merged, 2, 1024);
     assert_eq!(events, want_events, "events diverged across the restore");
     assert_eq!(restored.engine().closed_quic(), reference.closed_quic());
     assert_eq!(restored.engine().closed_common(), reference.closed_common());

@@ -106,7 +106,7 @@ fn metrics_reconcile_with_stats_across_shard_counts() {
         let (_, _, stats) = ingest_parallel_with(&faulted, threads, guard);
         let registry = MetricsRegistry::new();
         let metrics = IngestMetrics::register(&registry);
-        metrics.add_stats(&stats);
+        metrics.publish(&stats);
         metrics
             .verify(&stats)
             .unwrap_or_else(|e| panic!("{threads} shard(s): {e:?}"));
