@@ -64,17 +64,6 @@ fn bench_ingest(c: &mut Criterion) {
             pipeline.stats().quic_valid
         })
     });
-    // Sharded ingest at increasing worker counts (deterministic merge
-    // included in the measurement — it is part of the cost).
-    for threads in [1u64, 2, 4, 8] {
-        group.bench_function(&format!("ingest_parallel_{threads}"), |b| {
-            b.iter(|| {
-                let (quic, baseline, stats) =
-                    quicsand_telescope::ingest_parallel(black_box(&s.records), threads as usize);
-                quic.len() + baseline.len() + stats.quic_valid as usize
-            })
-        });
-    }
     group.finish();
 }
 

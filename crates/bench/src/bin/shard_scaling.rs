@@ -6,11 +6,10 @@
 //! cargo run --release -p quicsand-bench --bin shard_scaling
 //! ```
 //!
-//! Prints, per thread count, the wall time and throughput of (a) the
-//! parallel ingest alone and (b) the full analysis frontend
-//! (ingest → sanitize → sessionize → DoS inference), plus the speedup
-//! over one shard. The acceptance bar for the parallel pipeline is
-//! ≥ 2× ingest+sessionize throughput at 8 shards vs 1 at demo scale.
+//! Prints, per thread count, the wall time and throughput of the full
+//! analysis (ingest → sanitize → sessionize → DoS inference), plus the
+//! speedup over one shard. Scaling is only meaningful up to the host's
+//! core count; shard counts above it measure the fan-out's overhead.
 //!
 //! Afterwards it writes `BENCH_shard_scaling.json` (the 1-thread run —
 //! the machine-portable reference configuration) into
@@ -28,7 +27,7 @@ use quicsand_core::{Analysis, AnalysisConfig};
 use quicsand_live::{LiveConfig, LiveEngine};
 use quicsand_net::PacketRecord;
 use quicsand_sessions::SessionConfig;
-use quicsand_telescope::{ingest_parallel, GuardConfig};
+use quicsand_telescope::GuardConfig;
 use quicsand_traffic::{RecordStream, Scenario, StreamConfig};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -142,32 +141,15 @@ fn main() {
         scale.label(),
         std::thread::available_parallelism().map_or(1, usize::from)
     );
-    if std::thread::available_parallelism().map_or(1, usize::from) == 1 {
-        println!(
-            "note: single-core host — expect ~1x at every shard count; \
-             the scaling target (>=2x at 8 shards) needs >=8 cores"
-        );
-    }
     println!(
-        "{:>7}  {:>12} {:>12} {:>8}  {:>12} {:>12} {:>8}",
-        "shards", "ingest", "rec/s", "speedup", "frontend", "rec/s", "speedup"
+        "{:>7}  {:>12} {:>12} {:>8}",
+        "shards", "frontend", "rec/s", "speedup"
     );
 
-    let mut ingest_base = 0.0f64;
     let mut frontend_base = 0.0f64;
     let mut reference: Option<(f64, Analysis)> = None;
     for threads in [1usize, 2, 4, 8] {
-        // (a) Parallel ingest alone (classify + dissect).
         let t0 = Instant::now();
-        let (quic, baseline, stats) = ingest_parallel(records, threads);
-        let ingest_s = t0.elapsed().as_secs_f64();
-        assert_eq!(stats.total, records.len() as u64);
-        // Keep the products observable so the work is not optimized out.
-        let sink = quic.len() + baseline.len();
-        assert!(sink > 0);
-
-        // (b) The full pipeline with the sharded frontend.
-        let t1 = Instant::now();
         let analysis = Analysis::run(
             &scenario,
             &AnalysisConfig {
@@ -175,21 +157,17 @@ fn main() {
                 ..AnalysisConfig::default()
             },
         );
-        let frontend_s = t1.elapsed().as_secs_f64();
+        let frontend_s = t0.elapsed().as_secs_f64();
         assert!(!analysis.quic_attacks.is_empty());
 
         if threads == 1 {
-            ingest_base = ingest_s;
             frontend_base = frontend_s;
             reference = Some((frontend_s, analysis));
         } else {
             drop(analysis);
         }
         println!(
-            "{threads:>7}  {:>10.2}s {:>12.0} {:>7.2}x  {:>10.2}s {:>12.0} {:>7.2}x",
-            ingest_s,
-            records.len() as f64 / ingest_s,
-            ingest_base / ingest_s,
+            "{threads:>7}  {:>10.2}s {:>12.0} {:>7.2}x",
             frontend_s,
             records.len() as f64 / frontend_s,
             frontend_base / frontend_s,

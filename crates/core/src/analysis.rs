@@ -26,11 +26,11 @@ use quicsand_sessions::multivector::{classify_multivector_with, MultiVectorRepor
 use quicsand_sessions::session::{
     link_migrations, MigrationLink, Session, SessionConfig, Sessionizer, SessionizerCounters,
 };
-use quicsand_telescope::parallel::{
-    ingest_shard_with, ingest_shard_with_events, partition_by_source,
-};
 pub use quicsand_telescope::PipelineStats;
-use quicsand_telescope::{GuardConfig, HourlySeries, IngestStats, QuicObservation, ResearchFilter};
+use quicsand_telescope::{
+    fan_out, Admitted, GuardConfig, HourlySeries, IngestStats, QuicObservation, ResearchFilter,
+    TelescopePipeline,
+};
 use quicsand_traffic::Scenario;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -154,23 +154,39 @@ struct Frontend {
 }
 
 impl Frontend {
-    /// Stages 1–2 over one shard's record indices.
+    /// Stages 1–2 over one shard's record indices, admitted through
+    /// that shard's pipeline (which holds its sources' guard state).
     fn run(
         scenario: &Scenario,
         config: &AnalysisConfig,
+        pipeline: &mut TelescopePipeline,
         indices: &[usize],
         collect_events: bool,
     ) -> Frontend {
         let mut frontend = Frontend::default();
 
-        // 1. Ingest (this shard's records only).
+        // 1. Ingest (this shard's records only). Every event carries
+        // its record's capture index, so the shard buffers merge back
+        // into capture order.
         let ingest_start = Instant::now();
-        let (records, guard) = (&scenario.records, config.guard);
-        let shard = if collect_events {
-            ingest_shard_with_events(records, indices, guard, &mut frontend.events)
-        } else {
-            ingest_shard_with(records, indices, guard)
-        };
+        let mut events = collect_events.then(VecSubscriber::new);
+        let mut quic = Vec::new();
+        let mut quic_index = Vec::new();
+        for &index in indices {
+            let meta = EventMeta::record(index as u64);
+            match pipeline.admit_with(&scenario.records[index], &meta, &mut events) {
+                Admitted::Quic(obs) => {
+                    quic.push(obs);
+                    quic_index.push(index);
+                }
+                Admitted::Baseline(record) => {
+                    frontend.baseline.push((index, record.ts, record.src));
+                }
+                Admitted::Dropped => {}
+            }
+        }
+        frontend.events = events.unwrap_or_default();
+        frontend.ingest = pipeline.stats().clone();
         frontend.stats.ingest_ms = ms(ingest_start);
 
         // 2. Sanitize: behavioural detection corroborated by PeeringDB.
@@ -179,13 +195,13 @@ impl Frontend {
         // result restricted to this shard.
         let sanitize_start = Instant::now();
         let filter = ResearchFilter::detect_with_asdb(
-            &shard.quic,
+            &quic,
             &scenario.world.asdb,
             config.research_min_packets,
             config.research_min_dsts,
         );
         frontend.research_sources = filter.sources().clone();
-        for (obs, index) in shard.quic.into_iter().zip(shard.quic_index) {
+        for (obs, index) in quic.into_iter().zip(quic_index) {
             if filter.is_research(obs.src) {
                 frontend.research_packets += 1;
                 frontend.research_hourly.add(obs.ts);
@@ -202,14 +218,7 @@ impl Frontend {
                 }
             }
         }
-        frontend.baseline = shard
-            .baseline_index
-            .into_iter()
-            .zip(&shard.baseline)
-            .map(|(index, record)| (index, record.ts, record.src))
-            .collect();
         frontend.stats.sanitize_ms = ms(sanitize_start);
-        frontend.ingest = shard.stats;
         frontend
     }
 
@@ -451,10 +460,10 @@ impl Analysis {
         }
     }
 
-    /// Stages 1–2 sharded by `hash(src) % threads` across scoped worker
-    /// threads, merged back into capture order. Returns the merged
-    /// products and one `PipelineStats` per shard (for the stage
-    /// histograms).
+    /// Stages 1–2 fanned out by `hash(src) % threads`
+    /// ([`fan_out`]), one [`TelescopePipeline`] per shard, merged back
+    /// into capture order. Returns the merged products and one
+    /// `PipelineStats` per shard (for the stage histograms).
     ///
     /// Every per-source computation (dissection is per-packet; the
     /// guard, research detection and the hourly split are per-source)
@@ -466,20 +475,12 @@ impl Analysis {
         threads: usize,
         collect_events: bool,
     ) -> (Frontend, Vec<PipelineStats>) {
-        let buckets = partition_by_source(&scenario.records, threads);
-        let shards: Vec<Frontend> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .iter()
-                .map(|indices| {
-                    scope.spawn(move |_| Frontend::run(scenario, config, indices, collect_events))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("analysis shard worker panicked"))
-                .collect()
-        })
-        .expect("analysis scope panicked");
+        let mut pipelines: Vec<TelescopePipeline> = (0..threads)
+            .map(|_| TelescopePipeline::with_guard(config.guard))
+            .collect();
+        let shards = fan_out(&scenario.records, &mut pipelines, |pipeline, indices| {
+            Frontend::run(scenario, config, pipeline, indices, collect_events)
+        });
 
         let mut merged = Frontend::default();
         let shard_stats = shards.iter().map(|shard| shard.stats.clone()).collect();

@@ -1,8 +1,9 @@
 //! The sharded live engine: guard/quarantine ingest feeding per-shard
 //! detectors, with deterministic event merge and checkpoint/restore.
 //!
-//! Records are partitioned by `hash(src) % N` — the same FNV sharding
-//! as the batch parallel path — so every per-source computation (the
+//! Records are fanned out by `hash(src) % N` through
+//! [`quicsand_telescope::fan_out`] — the same fan-out the batch
+//! `Analysis` frontend uses — so every per-source computation (the
 //! ingest guard, sessionization, threshold detection, *and* per-victim
 //! multi-vector correlation, since victim = source on both channels)
 //! sees exactly the packets it would see single-sharded. Events are
@@ -22,9 +23,8 @@ use quicsand_events::{
 use quicsand_net::PacketRecord;
 use quicsand_obs::MetricsRegistry;
 use quicsand_sessions::dos::Attack;
-use quicsand_telescope::parallel::partition_by_source;
 use quicsand_telescope::{
-    Admitted, GuardConfig, IngestMetrics, IngestStats, PipelineSnapshot, PipelineStats,
+    fan_out, Admitted, GuardConfig, IngestMetrics, IngestStats, PipelineSnapshot, PipelineStats,
     StageMetrics, TelescopePipeline,
 };
 use serde::{Deserialize, Serialize};
@@ -159,74 +159,37 @@ impl LiveEngine {
         let base = self.offered;
         self.offered += records.len() as u64;
         self.stats.records = self.offered;
-        let (events, chunk_ingest, chunk_detect) = if self.shards.len() == 1 {
-            let (tagged, ingest_ms, detect_ms) = {
-                let shard = &mut self.shards[0];
-                let indices: Vec<usize> = (0..records.len()).collect();
-                if subscriber.enabled() {
-                    let mut collector = VecSubscriber::new();
-                    let chunk = shard_chunk(shard, records, &indices, base, &mut collector);
-                    collector.replay_into(subscriber);
-                    chunk
-                } else {
-                    shard_chunk(shard, records, &indices, base, &mut NoopSubscriber)
-                }
-            };
-            let events: Vec<LiveEvent> = tagged.into_iter().map(|(_, event)| event).collect();
-            (events, ingest_ms, detect_ms)
-        } else {
-            let buckets = partition_by_source(records, self.shards.len());
-            let collect = subscriber.enabled();
-            let worker = |shard: &mut Shard, indices: &[usize]| {
-                if collect {
-                    let mut collector = VecSubscriber::new();
-                    let chunk = shard_chunk(shard, records, indices, base, &mut collector);
-                    (chunk, collector)
-                } else {
-                    (
-                        shard_chunk(shard, records, indices, base, &mut NoopSubscriber),
-                        VecSubscriber::new(),
-                    )
-                }
-            };
-            let worker = &worker;
-            let results: Vec<(ShardChunk, VecSubscriber)> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(buckets.iter())
-                    .map(|(shard, indices)| scope.spawn(move |_| worker(shard, indices)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("live shard worker panicked"))
-                    .collect()
-            })
-            .expect("live scope panicked");
+        let collect = subscriber.enabled();
+        let results = fan_out(records, &mut self.shards, |shard, indices| {
+            let mut collector = collect.then(VecSubscriber::new);
+            let chunk = shard_chunk(shard, records, indices, base, &mut collector);
+            (chunk, collector)
+        });
 
-            // Critical-path timing: the slowest shard bounds the chunk.
-            let mut chunk_ingest: f64 = 0.0;
-            let mut chunk_detect: f64 = 0.0;
-            let mut tagged: Vec<(usize, LiveEvent)> = Vec::new();
-            let mut merged = VecSubscriber::new();
-            for ((events, ingest_ms, detect_ms), collector) in results {
-                chunk_ingest = chunk_ingest.max(ingest_ms);
-                chunk_detect = chunk_detect.max(detect_ms);
-                tagged.extend(events);
+        // Critical-path timing: the slowest shard bounds the chunk.
+        let mut chunk_ingest: f64 = 0.0;
+        let mut chunk_detect: f64 = 0.0;
+        let mut tagged: Vec<(usize, LiveEvent)> = Vec::new();
+        let mut merged = VecSubscriber::new();
+        for ((events, ingest_ms, detect_ms), collector) in results {
+            chunk_ingest = chunk_ingest.max(ingest_ms);
+            chunk_detect = chunk_detect.max(detect_ms);
+            tagged.extend(events);
+            if let Some(collector) = collector {
                 merged.events.extend(collector.events);
             }
-            if collect {
-                // Record indices are unique across shards, so the merge
-                // reproduces the single-shard emission order exactly.
-                merged.sort_by_record_index();
-                merged.replay_into(subscriber);
-            }
-            // Original record indices are unique; the stable sort keeps
-            // each record's own events in emission order.
-            tagged.sort_by_key(|(index, _)| *index);
-            let events: Vec<LiveEvent> = tagged.into_iter().map(|(_, event)| event).collect();
-            (events, chunk_ingest, chunk_detect)
-        };
+        }
+        if collect {
+            // Record indices are unique across shards, so the merge
+            // reproduces the single-shard emission order exactly.
+            merged.sort_by_record_index();
+            merged.replay_into(subscriber);
+        }
+        // Original record indices are unique; the stable sort keeps
+        // each record's own events in emission order (at one shard it
+        // sees a single sorted run).
+        tagged.sort_by_key(|(index, _)| *index);
+        let events: Vec<LiveEvent> = tagged.into_iter().map(|(_, event)| event).collect();
         self.stats.ingest_ms += chunk_ingest;
         self.stats.sessionize_ms += chunk_detect;
         // Detector offers are the live "sessionize" stage (incremental

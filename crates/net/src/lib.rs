@@ -13,8 +13,8 @@
 //!   floods land in it with exactly that probability).
 //! * [`record`] — layer-3/4 packet records, the unit the telescope
 //!   stores and the analyses consume (pcap stand-in).
-//! * [`capture`] — a length-prefixed binary capture format with
-//!   streaming reader/writer, so scenarios can be persisted and replayed.
+//! * [`capture`] — a length-prefixed binary capture format and its
+//!   writer, so scenarios can be persisted and replayed.
 //! * [`event`] — a discrete-event scheduler (binary heap of timed
 //!   events) used by the server model.
 //! * [`link`] — a rate-limited, lossy link model for the Table 1
@@ -25,12 +25,11 @@
 //!   every capture in Wireshark — the paper's §4.1 dissection tool.
 //! * [`rng`] — seed-splitting helpers so every subsystem gets an
 //!   independent, reproducible ChaCha stream.
-//! * [`stream`] — pull-based [`stream::StreamSource`] adapters that
-//!   feed the live detection engine from a capture replay or an
-//!   in-memory scenario.
-//! * [`zerocopy`] — arena-backed batched capture decoding: records
-//!   decoded against one file-sized buffer through a checked cursor,
-//!   UDP payloads handed out as zero-copy views (the ingest hot path).
+//! * [`stream`] — the pull-based [`stream::StreamSource`] trait that
+//!   feeds the live detection engine, and an in-memory scenario replay.
+//! * [`zerocopy`] — the capture reader: records decoded against one
+//!   file-sized arena through a checked cursor, UDP payloads handed out
+//!   as zero-copy views (the ingest hot path).
 //! * [`multi`] — N concurrent sources behind bounded backpressure
 //!   queues, merged into one deterministic watermark-aligned stream
 //!   ([`multi::SourceSet`]) with reconnect-with-resume on failure.

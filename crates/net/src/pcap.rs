@@ -20,6 +20,11 @@ pub const LINKTYPE_RAW: u32 = 101;
 /// Snap length written into the global header.
 pub const SNAPLEN: u32 = 65_535;
 
+/// Largest IPv4 packet (the 16-bit total-length field). A record that
+/// declares more captured bytes is rejected before its buffer is
+/// allocated.
+pub const MAX_PACKET_LEN: u32 = 65_535;
+
 /// Errors from reading a pcap stream.
 #[derive(Debug)]
 pub enum PcapError {
@@ -31,7 +36,9 @@ pub enum PcapError {
     BadLinkType(u32),
     /// A packet body failed to parse as IPv4.
     BadPacket(L3Error),
-    /// Record header cut short.
+    /// A record declared more captured bytes than an IPv4 packet holds.
+    OversizedPacket(u32),
+    /// The global header or a record was cut short.
     Truncated,
 }
 
@@ -42,6 +49,9 @@ impl fmt::Display for PcapError {
             PcapError::BadMagic(m) => write!(f, "bad pcap magic {m:#010x}"),
             PcapError::BadLinkType(t) => write!(f, "unsupported linktype {t}"),
             PcapError::BadPacket(e) => write!(f, "bad packet: {e}"),
+            PcapError::OversizedPacket(len) => {
+                write!(f, "declared packet length {len} exceeds {MAX_PACKET_LEN}")
+            }
             PcapError::Truncated => write!(f, "truncated pcap record"),
         }
     }
@@ -111,6 +121,10 @@ impl<W: Write> PcapWriter<W> {
 }
 
 /// Reads a classic pcap stream of raw IPv4 packets.
+///
+/// Truncation contract: zero bytes at a record boundary is a clean end
+/// of stream; a global header or record cut at any other offset is
+/// [`PcapError::Truncated`].
 pub struct PcapReader<R: Read> {
     inner: R,
 }
@@ -122,7 +136,7 @@ impl<R: Read> PcapReader<R> {
     /// [`PcapError`] on bad magic/linktype or IO failure.
     pub fn new(mut inner: R) -> Result<Self, PcapError> {
         let mut header = [0u8; 24];
-        inner.read_exact(&mut header)?;
+        inner.read_exact(&mut header).map_err(map_truncation)?;
         let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
         if magic != PCAP_MAGIC {
             return Err(PcapError::BadMagic(magic));
@@ -136,26 +150,36 @@ impl<R: Read> PcapReader<R> {
 
     fn read_record(&mut self) -> Result<Option<PacketRecord>, PcapError> {
         let mut header = [0u8; 16];
-        match self.inner.read_exact(&mut header) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let mut filled = 0;
+        while filled < header.len() {
+            match self.inner.read(&mut header[filled..]) {
+                Ok(0) if filled == 0 => return Ok(None),
+                Ok(0) => return Err(PcapError::Truncated),
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
         }
         let secs = u32::from_le_bytes(header[0..4].try_into().expect("4"));
         let micros = u32::from_le_bytes(header[4..8].try_into().expect("4"));
-        let incl = u32::from_le_bytes(header[8..12].try_into().expect("4")) as usize;
-        let mut packet = vec![0u8; incl];
-        self.inner.read_exact(&mut packet).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                PcapError::Truncated
-            } else {
-                PcapError::Io(e)
-            }
-        })?;
+        let incl = u32::from_le_bytes(header[8..12].try_into().expect("4"));
+        if incl > MAX_PACKET_LEN {
+            return Err(PcapError::OversizedPacket(incl));
+        }
+        let mut packet = vec![0u8; incl as usize];
+        self.inner.read_exact(&mut packet).map_err(map_truncation)?;
         let ts = Timestamp::from_micros(u64::from(secs) * 1_000_000 + u64::from(micros));
         decode_ipv4(ts, &packet)
             .map(Some)
             .map_err(PcapError::BadPacket)
+    }
+}
+
+fn map_truncation(e: io::Error) -> PcapError {
+    if e.kind() == io::ErrorKind::UnexpectedEof {
+        PcapError::Truncated
+    } else {
+        PcapError::Io(e)
     }
 }
 
@@ -269,6 +293,47 @@ mod tests {
         let bytes = to_pcap_bytes(&samples()).unwrap();
         let result = from_pcap_bytes(&bytes[..bytes.len() - 3]);
         assert!(matches!(result, Err(PcapError::Truncated)), "{result:?}");
+    }
+
+    #[test]
+    fn truncation_at_every_byte_offset_is_detected() {
+        let records = samples();
+        let bytes = to_pcap_bytes(&records).unwrap();
+        // Byte offsets at which each record ends: a cut exactly there is
+        // a clean end of stream, anywhere else is `Truncated`.
+        let mut boundaries = vec![24];
+        for record in &records {
+            let one = to_pcap_bytes(std::slice::from_ref(record)).unwrap();
+            boundaries.push(boundaries.last().unwrap() + one.len() - 24);
+        }
+        assert_eq!(*boundaries.last().unwrap(), bytes.len());
+        for cut in 0..=bytes.len() {
+            let result = from_pcap_bytes(&bytes[..cut]);
+            match boundaries.iter().position(|&b| b == cut) {
+                Some(complete) => assert_eq!(
+                    result.as_deref().expect("boundary cut decodes"),
+                    &records[..complete],
+                    "boundary {cut}"
+                ),
+                None => assert!(
+                    matches!(result, Err(PcapError::Truncated)),
+                    "cut at byte {cut}: {result:?}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_declared_length_is_rejected_before_allocation() {
+        let mut bytes = to_pcap_bytes(&[]).unwrap();
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // ts_sec
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // ts_usec
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // incl_len
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // orig_len
+        assert!(matches!(
+            from_pcap_bytes(&bytes),
+            Err(PcapError::OversizedPacket(u32::MAX))
+        ));
     }
 
     #[test]

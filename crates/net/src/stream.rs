@@ -3,14 +3,12 @@
 //! The batch pipeline slurps a whole capture into a `Vec`; the live
 //! engine instead pulls records one at a time from a [`StreamSource`],
 //! so a stream has no inherent end (a replayed capture simply runs
-//! dry). Two adapters are provided: every [`CaptureReader`] is a
-//! source (file replay), and [`MemoryStream`] replays an in-memory
-//! record vector (e.g. a `traffic` scenario) without cloning it up
-//! front.
+//! dry). [`MemoryStream`] replays an in-memory record vector (e.g. a
+//! `traffic` scenario) without cloning it up front; capture files are
+//! replayed through [`crate::zerocopy::ZeroCopyCaptureReader`].
 
-use crate::capture::{CaptureError, CaptureReader};
+use crate::capture::CaptureError;
 use crate::record::PacketRecord;
-use std::io::Read;
 
 /// A pull-based, possibly unbounded stream of packet records.
 ///
@@ -38,20 +36,13 @@ pub trait StreamSource {
                     // Surface the partial chunk now; the error is lost
                     // unless the underlying reader re-reports it, so
                     // only readers with sticky errors should rely on
-                    // this. CaptureReader stops permanently on error,
-                    // which next_record maps to stream end.
+                    // this.
                     break;
                 }
                 None => break,
             }
         }
         Ok(chunk)
-    }
-}
-
-impl<R: Read> StreamSource for CaptureReader<R> {
-    fn next_record(&mut self) -> Option<Result<PacketRecord, CaptureError>> {
-        self.next()
     }
 }
 
@@ -137,25 +128,5 @@ mod tests {
             out.extend(chunk);
         }
         assert_eq!(out, records);
-    }
-
-    #[test]
-    fn capture_reader_is_a_stream_source() {
-        use crate::capture::{CaptureReader, CaptureWriter};
-        let mut buf = Vec::new();
-        {
-            let mut writer = CaptureWriter::new(&mut buf).unwrap();
-            for i in 0..5 {
-                writer.write(&record(i)).unwrap();
-            }
-            writer.finish().unwrap();
-        }
-        let mut reader = CaptureReader::new(buf.as_slice()).unwrap();
-        let mut n = 0;
-        while let Some(r) = StreamSource::next_record(&mut reader) {
-            r.unwrap();
-            n += 1;
-        }
-        assert_eq!(n, 5);
     }
 }

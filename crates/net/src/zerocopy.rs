@@ -1,13 +1,6 @@
-//! Zero-copy batched capture decoding.
+//! Zero-copy batched capture decoding: the one `QSCP` reader.
 //!
-//! [`crate::capture::CaptureReader`] is a streaming reader over any
-//! `Read`: it allocates a fresh `Vec` for every UDP payload and copies
-//! each record's bytes out of the IO buffer. That is the right shape for
-//! unbounded pipes, but for capture *files* — the dominant case, replayed
-//! many times per generation — the whole file fits in memory and the
-//! per-record copies are pure overhead.
-//!
-//! This module decodes records against a single immutable arena instead:
+//! Records are decoded against a single immutable arena:
 //!
 //! * the file is read **once** into one [`Bytes`] allocation (the arena);
 //! * [`DecoderBuffer`] is a typed cursor over that arena — every read is
@@ -23,12 +16,15 @@
 //! argument); the decoding discipline is identical to what a mapped
 //! buffer would use.
 //!
-//! ## Truncation contract (shared with `CaptureReader`)
+//! ## Truncation contract
 //!
 //! * fewer than 8 header bytes → [`CaptureError::Truncated`];
 //! * zero bytes remaining at a record boundary → clean end of stream;
 //! * a record cut anywhere after its first byte — including inside the
 //!   timestamp — → [`CaptureError::Truncated`].
+//!
+//! Errors are sticky: a failed record leaves the cursor at that
+//! record's first byte, so every later read reports the same error.
 
 use crate::capture::{
     decode_flags, decode_icmp, CaptureError, FORMAT_VERSION, MAGIC, MAX_UDP_PAYLOAD, TAG_ICMP,
@@ -176,12 +172,10 @@ impl RecordBatch {
     }
 }
 
-/// Arena-backed capture decoder: the zero-copy counterpart of
-/// [`crate::capture::CaptureReader`].
+/// Arena-backed `QSCP` capture decoder.
 ///
-/// Decodes the same `QSCP` format with the same error taxonomy and the
-/// same truncation contract, but UDP payloads are O(1) [`Bytes`] views
-/// into a single file-sized arena instead of per-record heap copies.
+/// UDP payloads are O(1) [`Bytes`] views into a single file-sized arena
+/// instead of per-record heap copies.
 pub struct ZeroCopyCaptureReader {
     buf: DecoderBuffer,
     records_read: u64,
@@ -194,7 +188,7 @@ impl ZeroCopyCaptureReader {
     /// # Errors
     /// [`CaptureError::Truncated`] for fewer than 8 header bytes,
     /// [`CaptureError::BadMagic`] / [`CaptureError::BadVersion`] for a
-    /// corrupt header — the same taxonomy as `CaptureReader::new`.
+    /// corrupt header.
     pub fn from_bytes(data: impl Into<Bytes>) -> Result<Self, CaptureError> {
         let mut buf = DecoderBuffer::new(data.into());
         let mut magic = [0u8; 4];
@@ -232,6 +226,10 @@ impl ZeroCopyCaptureReader {
 
     /// Decodes the next record, or `Ok(None)` at a clean end of stream.
     ///
+    /// On error the cursor is rewound to the failed record's first
+    /// byte, so the error is sticky: every later call returns it again
+    /// instead of decoding the broken record's tail as new records.
+    ///
     /// # Errors
     /// [`CaptureError::Truncated`] for a record cut at any byte offset
     /// (including mid-timestamp); the other `CaptureError` variants for
@@ -240,6 +238,20 @@ impl ZeroCopyCaptureReader {
         if self.buf.is_empty() {
             return Ok(None);
         }
+        let start = self.buf.offset;
+        match self.decode_record() {
+            Ok(record) => {
+                self.records_read += 1;
+                Ok(Some(record))
+            }
+            Err(error) => {
+                self.buf.offset = start;
+                Err(error)
+            }
+        }
+    }
+
+    fn decode_record(&mut self) -> Result<PacketRecord, CaptureError> {
         let ts = Timestamp::from_micros(self.buf.read_u64_le()?);
         let src = Ipv4Addr::from(self.buf.read_u32_le()?.to_be_bytes());
         let dst = Ipv4Addr::from(self.buf.read_u32_le()?.to_be_bytes());
@@ -273,21 +285,19 @@ impl ZeroCopyCaptureReader {
             },
             other => return Err(CaptureError::BadTag(other)),
         };
-        self.records_read += 1;
-        Ok(Some(PacketRecord {
+        Ok(PacketRecord {
             ts,
             src,
             dst,
             transport,
-        }))
+        })
     }
 
     /// Decodes up to `max` records into a [`RecordBatch`].
     ///
     /// An empty batch signals a clean end of stream. A decode error after
     /// some records of the batch already decoded is reported immediately
-    /// — the partial batch is discarded, matching the legacy reader's
-    /// fail-on-first-error iteration.
+    /// and the partial batch is discarded (fail on the first error).
     ///
     /// # Errors
     /// As [`read_record`](Self::read_record).
@@ -341,9 +351,9 @@ impl StreamSource for ZeroCopyCaptureReader {
                 Ok(Some(record)) => chunk.push(record),
                 Ok(None) => break,
                 Err(error) if chunk.is_empty() => return Err(error),
-                // Truncation does not consume the cursor past the cut,
-                // so the error re-surfaces on the next (empty) pull —
-                // the sticky-error contract `pull_chunk` documents.
+                // `read_record` rewinds on error, so the error
+                // re-surfaces on the next (empty) pull — the
+                // sticky-error contract `pull_chunk` documents.
                 Err(_) => break,
             }
         }
@@ -354,7 +364,7 @@ impl StreamSource for ZeroCopyCaptureReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::{from_bytes, to_bytes, CaptureReader};
+    use crate::capture::to_bytes;
     use crate::record::{IcmpKind, TcpFlags};
 
     fn samples() -> Vec<PacketRecord> {
@@ -393,14 +403,12 @@ mod tests {
     }
 
     #[test]
-    fn decodes_identically_to_the_legacy_reader() {
+    fn decodes_the_written_records() {
         let bytes = to_bytes(&samples()).unwrap();
-        let legacy = from_bytes(&bytes).unwrap();
         let zero = ZeroCopyCaptureReader::from_bytes(bytes)
             .unwrap()
             .read_to_end()
             .unwrap();
-        assert_eq!(legacy, zero);
         assert_eq!(zero, samples());
     }
 
@@ -439,9 +447,9 @@ mod tests {
     }
 
     #[test]
-    fn header_taxonomy_matches_legacy() {
+    fn header_error_taxonomy() {
         // Short header → Truncated, bad magic → BadMagic, bad version →
-        // BadVersion; identical to `CaptureReader::new`.
+        // BadVersion.
         for cut in 0..8 {
             let bytes = to_bytes(&[]).unwrap();
             let result = ZeroCopyCaptureReader::from_bytes(bytes[..cut].to_vec());
@@ -449,10 +457,6 @@ mod tests {
                 matches!(result, Err(CaptureError::Truncated)),
                 "header cut at {cut}"
             );
-            assert!(matches!(
-                CaptureReader::new(&bytes[..cut]),
-                Err(CaptureError::Truncated)
-            ));
         }
         let mut bad_magic = to_bytes(&[]).unwrap();
         bad_magic[0] = b'X';
@@ -479,10 +483,12 @@ mod tests {
         bytes.extend_from_slice(&443u16.to_le_bytes());
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut reader = ZeroCopyCaptureReader::from_bytes(bytes).unwrap();
-        assert!(matches!(
-            reader.read_record(),
-            Err(CaptureError::OversizedPayload(u32::MAX))
-        ));
+        for _ in 0..2 {
+            assert!(matches!(
+                reader.read_record(),
+                Err(CaptureError::OversizedPayload(u32::MAX))
+            ));
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! 3. bin observations over time ([`binning`]) — the Figs. 2/3 hourly
 //!    series.
 //!
-//! For multi-core captures, [`parallel`] shards the ingest by
-//! `hash(src) % N` across scoped worker threads with a deterministic
-//! merge — byte-identical output at any thread count.
+//! For multi-core captures, [`parallel`] fans a capture out by
+//! `hash(src) % N` across scoped worker threads; callers merge the
+//! shards by record index, so output is byte-identical at any thread
+//! count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +26,7 @@ pub mod pipeline;
 pub use binning::HourlySeries;
 pub use filter::ResearchFilter;
 pub use metrics::{IngestMetrics, QuarantineMetrics, StageMetrics};
-pub use parallel::{ingest_parallel, ingest_parallel_with, shard_of};
+pub use parallel::{fan_out, shard_of};
 pub use pipeline::{
     record_hash, Admitted, GuardConfig, IngestError, IngestStats, PipelineSnapshot, PipelineStats,
     QuarantineStats, QuicObservation, TelescopePipeline,

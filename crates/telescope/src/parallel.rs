@@ -1,25 +1,21 @@
-//! Sharded parallel ingest: `hash(src) % N` partitioning across scoped
-//! worker threads, with a deterministic capture-order merge.
+//! Source-sharded fan-out: `hash(src) % N` partitioning across scoped
+//! worker threads.
 //!
 //! The telescope's per-packet work (classification + dissection) and
-//! all per-source state (sessionization, research-scanner detection)
-//! depend only on the *source* address, so partitioning records by a
-//! hash of `src` lets N workers run the full per-shard pipeline
-//! independently and still produce byte-identical output after the
-//! merge:
-//!
-//! * every output is tagged with its original record index, so sorting
-//!   the concatenated shard outputs by index restores exact capture
-//!   order regardless of thread scheduling;
-//! * all counters are commutative sums.
+//! all per-source state (the ingest guard, sessionization,
+//! research-scanner detection) depend only on the *source* address, so
+//! partitioning records by a hash of `src` lets N workers run the full
+//! per-shard pipeline independently. [`fan_out`] is the one place that
+//! does this; its callers (the batch `Analysis` frontend and the live
+//! engine) tag every product with its original record index and merge
+//! by it, which restores exact capture order regardless of thread
+//! scheduling.
 //!
 //! The shard function is FNV-1a over the source octets — a fixed,
 //! platform-independent hash (unlike [`std::collections::hash_map::DefaultHasher`],
 //! whose output is unspecified across releases), so a given capture
 //! shards identically everywhere.
 
-use crate::pipeline::{Admitted, GuardConfig, IngestStats, QuicObservation, TelescopePipeline};
-use quicsand_events::{EventMeta, NoopSubscriber, Subscriber};
 use quicsand_net::PacketRecord;
 use std::net::Ipv4Addr;
 
@@ -53,134 +49,41 @@ pub fn partition_by_source(records: &[PacketRecord], shards: usize) -> Vec<Vec<u
     buckets
 }
 
-/// One shard's ingest products. `quic_index[i]` / `baseline_index[i]`
-/// is the original capture index of `quic[i]` / `baseline[i]`.
-#[derive(Debug, Default)]
-pub struct ShardIngest {
-    /// Validated QUIC observations (shard-local capture order).
-    pub quic: Vec<QuicObservation>,
-    /// Original record index of each element of `quic`.
-    pub quic_index: Vec<usize>,
-    /// TCP/ICMP baseline records (shard-local capture order).
-    pub baseline: Vec<PacketRecord>,
-    /// Original record index of each element of `baseline`.
-    pub baseline_index: Vec<usize>,
-    /// This shard's counters.
-    pub stats: IngestStats,
-}
-
-/// Runs the sequential ingest over one shard's record indices with the
-/// default [`GuardConfig`].
-pub fn ingest_shard(records: &[PacketRecord], indices: &[usize]) -> ShardIngest {
-    ingest_shard_with(records, indices, GuardConfig::default())
-}
-
-/// Runs the sequential ingest over one shard's record indices, tagging
-/// every product with its original capture index.
+/// Runs `work` once per shard over that shard's record indices and
+/// returns the results in shard order.
 ///
-/// Guard state (per-source watermarks, duplicate hashes) lives inside
-/// the shard's pipeline; because shards partition records *by source*,
-/// the guard sees exactly the same per-source record sequence as a
-/// sequential run, so quarantine decisions are shard-count-invariant.
-pub fn ingest_shard_with(
-    records: &[PacketRecord],
-    indices: &[usize],
-    guard: GuardConfig,
-) -> ShardIngest {
-    ingest_shard_with_events(records, indices, guard, &mut NoopSubscriber)
-}
-
-/// [`ingest_shard_with`] with typed-event emission: every event carries
-/// its record's original capture index ([`EventMeta::record`]), so
-/// per-shard collections merge back into capture order. With
-/// [`NoopSubscriber`] this is exactly [`ingest_shard_with`].
-pub fn ingest_shard_with_events<S: Subscriber>(
-    records: &[PacketRecord],
-    indices: &[usize],
-    guard: GuardConfig,
-    subscriber: &mut S,
-) -> ShardIngest {
-    let mut pipeline = TelescopePipeline::with_guard(guard);
-    let mut shard = ShardIngest::default();
-    for &index in indices {
-        let meta = EventMeta::record(index as u64);
-        match pipeline.admit_with(&records[index], &meta, subscriber) {
-            Admitted::Quic(obs) => {
-                shard.quic.push(obs);
-                shard.quic_index.push(index);
-            }
-            Admitted::Baseline(record) => {
-                shard.baseline.push(record);
-                shard.baseline_index.push(index);
-            }
-            Admitted::Dropped => {}
-        }
-    }
-    shard.stats = pipeline.finish().2;
-    shard
-}
-
-/// Merges per-shard ingest outputs back into exact capture order.
+/// Records are split with [`partition_by_source`] into one bucket per
+/// element of `shards`, so each worker sees its sources' records in
+/// capture order. With one shard the work runs inline; with more, each
+/// shard gets its own scoped thread that borrows `records` and its `T`.
+/// A panicking worker panics the caller.
 ///
-/// Equivalent to `TelescopePipeline::finish()` after a sequential
-/// `ingest_all` over the same records, whatever the shard count.
-pub fn merge_shards(
-    shards: Vec<ShardIngest>,
-) -> (Vec<QuicObservation>, Vec<PacketRecord>, IngestStats) {
-    let mut stats = IngestStats::default();
-    let mut quic: Vec<(usize, QuicObservation)> = Vec::new();
-    let mut baseline: Vec<(usize, PacketRecord)> = Vec::new();
-    for shard in shards {
-        stats.merge(&shard.stats);
-        quic.extend(shard.quic_index.into_iter().zip(shard.quic));
-        baseline.extend(shard.baseline_index.into_iter().zip(shard.baseline));
+/// # Panics
+/// If `shards` is empty, or if a worker panics.
+pub fn fan_out<T, R, F>(records: &[PacketRecord], shards: &mut [T], work: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(&mut T, &[usize]) -> R + Sync,
+{
+    assert!(!shards.is_empty(), "fan_out needs at least one shard");
+    let buckets = partition_by_source(records, shards.len());
+    if let [shard] = shards {
+        return vec![work(shard, &buckets[0])];
     }
-    // Indices are unique, so the unstable sort is deterministic.
-    quic.sort_unstable_by_key(|(index, _)| *index);
-    baseline.sort_unstable_by_key(|(index, _)| *index);
-    (
-        quic.into_iter().map(|(_, obs)| obs).collect(),
-        baseline.into_iter().map(|(_, record)| record).collect(),
-        stats,
-    )
-}
-
-/// Ingests a capture across `threads` scoped worker threads and merges
-/// the shards deterministically.
-///
-/// `threads <= 1` runs the exact sequential [`TelescopePipeline`]
-/// path. Output is byte-identical at any thread count.
-pub fn ingest_parallel(
-    records: &[PacketRecord],
-    threads: usize,
-) -> (Vec<QuicObservation>, Vec<PacketRecord>, IngestStats) {
-    ingest_parallel_with(records, threads, GuardConfig::default())
-}
-
-/// [`ingest_parallel`] with explicit guard thresholds.
-pub fn ingest_parallel_with(
-    records: &[PacketRecord],
-    threads: usize,
-    guard: GuardConfig,
-) -> (Vec<QuicObservation>, Vec<PacketRecord>, IngestStats) {
-    if threads <= 1 {
-        let mut pipeline = TelescopePipeline::with_guard(guard);
-        pipeline.ingest_all(records);
-        return pipeline.finish();
-    }
-    let buckets = partition_by_source(records, threads);
-    let shards = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .iter()
-            .map(|indices| scope.spawn(move |_| ingest_shard_with(records, indices, guard)))
+    let work = &work;
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .iter_mut()
+            .zip(&buckets)
+            .map(|(shard, indices)| scope.spawn(move |_| work(shard, indices)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("shard worker panicked"))
-            .collect::<Vec<_>>()
+            .collect()
     })
-    .expect("ingest scope panicked");
-    merge_shards(shards)
+    .expect("shard scope panicked")
 }
 
 #[cfg(test)]
@@ -254,33 +157,41 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ingest_matches_sequential_exactly() {
-        let records = mixed_capture(1_000);
-        let mut sequential = TelescopePipeline::new();
-        sequential.ingest_all(&records);
-        let (seq_quic, seq_baseline, seq_stats) = sequential.finish();
-        for threads in [1usize, 2, 3, 8] {
-            let (quic, baseline, stats) = ingest_parallel(&records, threads);
-            assert_eq!(quic, seq_quic, "quic mismatch at {threads} threads");
+    fn fan_out_visits_each_index_once_in_shard_order() {
+        let records = mixed_capture(500);
+        for shards in [1usize, 2, 3, 8] {
+            let mut ids: Vec<usize> = (0..shards).collect();
+            let results = fan_out(&records, &mut ids, |id, indices| (*id, indices.to_vec()));
+            assert_eq!(results.len(), shards);
+            let mut seen = Vec::new();
+            for (position, (id, indices)) in results.into_iter().enumerate() {
+                // Results come back in shard order, each worker got its
+                // own shard state and exactly its source shard's records.
+                assert_eq!(id, position, "{shards} shards");
+                assert!(indices.windows(2).all(|w| w[0] < w[1]), "capture order");
+                assert!(indices
+                    .iter()
+                    .all(|&i| shard_of(records[i].src, shards) == position));
+                seen.extend(indices);
+            }
+            seen.sort_unstable();
             assert_eq!(
-                baseline, seq_baseline,
-                "baseline mismatch at {threads} threads"
+                seen,
+                (0..records.len()).collect::<Vec<_>>(),
+                "{shards} shards"
             );
-            assert_eq!(stats, seq_stats, "stats mismatch at {threads} threads");
         }
+        // One shard runs on the calling thread.
+        let caller = std::thread::current().id();
+        let ran_on = fan_out(&records, &mut [()], |_, _| std::thread::current().id());
+        assert_eq!(ran_on, vec![caller]);
     }
 
     #[test]
-    fn merge_restores_capture_order() {
-        let records = mixed_capture(200);
-        let buckets = partition_by_source(&records, 3);
-        let shards: Vec<ShardIngest> = buckets
-            .iter()
-            .map(|indices| ingest_shard(&records, indices))
-            .collect();
-        let (quic, baseline, stats) = merge_shards(shards);
-        assert!(quic.windows(2).all(|w| w[0].ts <= w[1].ts));
-        assert!(baseline.windows(2).all(|w| w[0].ts <= w[1].ts));
-        assert_eq!(stats.total, records.len() as u64);
+    #[should_panic(expected = "shard scope panicked")]
+    fn fan_out_propagates_worker_panics() {
+        let records = mixed_capture(10);
+        let mut shards = [(), ()];
+        fan_out(&records, &mut shards, |_, _| panic!("boom"));
     }
 }

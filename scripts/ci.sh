@@ -321,6 +321,18 @@ if [[ -z "$quarantined" || "$quarantined" -eq 0 ]]; then
   exit 1
 fi
 echo "faulted-smoke: $quarantined records quarantined, exit 0 — OK"
+# A capture cut mid-record is a typed error at the CLI, never a
+# silently shortened run: exit 1 with the reader's `truncated record`.
+head -c -3 "$smoke_dir/smoke.qscp" > "$smoke_dir/cut.qscp"
+cut_status=0
+cut_err="$(cargo run -q $profile_flag -- analyze "$smoke_dir/cut.qscp" 2>&1 >/dev/null)" ||
+  cut_status=$?
+if [[ "$cut_status" -ne 1 ]] || ! grep -q 'truncated record' <<<"$cut_err"; then
+  echo "faulted-smoke: cut capture must exit 1 with 'truncated record'," \
+    "got exit $cut_status: $cut_err" >&2
+  exit 1
+fi
+echo "faulted-smoke: capture cut by 3 bytes rejected (exit 1, truncated record) — OK"
 
 echo "==> live-smoke: streaming engine over the same capture"
 # The live engine must stream the capture cleanly (exit 0), emit at

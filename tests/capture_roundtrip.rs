@@ -2,11 +2,12 @@
 //! the persistence path is how real deployments would feed the tool.
 
 use quicsand_core::{Analysis, AnalysisConfig};
-use quicsand_net::capture::{self, CaptureReader, CaptureWriter};
+use quicsand_net::capture::{self, CaptureWriter};
+use quicsand_net::zerocopy::ZeroCopyCaptureReader;
 use quicsand_net::{PacketRecord, Timestamp};
 use quicsand_traffic::{Scenario, ScenarioConfig};
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 use std::net::Ipv4Addr;
 
 #[test]
@@ -37,9 +38,11 @@ fn file_roundtrip_preserves_analysis() {
         .sync_all()
         .unwrap();
 
-    // Read streaming.
-    let reader = CaptureReader::new(BufReader::new(File::open(&path).unwrap())).unwrap();
-    let records: Vec<_> = reader.map(|r| r.unwrap()).collect();
+    // Read back through the arena reader, as the CLI does.
+    let records = ZeroCopyCaptureReader::from_path(&path)
+        .unwrap()
+        .read_to_end()
+        .unwrap();
     assert_eq!(records, scenario.records);
 
     // Analyses agree.

@@ -1,24 +1,23 @@
 //! Truncation regression tests: a capture cut at *any* byte offset must
-//! be reported as [`CaptureError::Truncated`] by both the legacy
-//! streaming reader and the zero-copy decoder — never silently accepted
-//! as a shorter capture.
+//! be reported as [`CaptureError::Truncated`] by the capture reader —
+//! never silently accepted as a shorter capture, and never decoded
+//! further once the error surfaced.
 //!
-//! The pre-fix `CaptureReader::read_record` mapped every `UnexpectedEof`
-//! on the timestamp read to a clean end of stream, so a file cut 1–7
-//! bytes into a record's timestamp silently dropped those trailing
-//! bytes. The exhaustive sweeps below fail on those semantics and pin
-//! the corrected contract for both readers:
+//! The contract pinned here:
 //!
 //! * fewer than 8 header bytes → `Truncated`;
 //! * a cut exactly at a record boundary → clean end of stream, with
 //!   every preceding record decoded;
 //! * a cut anywhere inside a record — including mid-timestamp —
-//!   → `Truncated`.
+//!   → `Truncated`;
+//! * the error is sticky: every read after the valid prefix returns it
+//!   again, through `read_record` and through `pull_chunk`, and never
+//!   decodes the cut record's bytes as further records.
 
 use bytes::Bytes;
-use quicsand_net::capture::{from_bytes, to_bytes, CaptureError};
+use quicsand_net::capture::{to_bytes, CaptureError};
 use quicsand_net::zerocopy::ZeroCopyCaptureReader;
-use quicsand_net::{IcmpKind, PacketRecord, TcpFlags, Timestamp};
+use quicsand_net::{IcmpKind, PacketRecord, StreamSource, TcpFlags, Timestamp};
 use std::net::Ipv4Addr;
 
 /// One record of every transport, so the sweep crosses every field kind
@@ -58,6 +57,21 @@ fn samples() -> Vec<PacketRecord> {
     ]
 }
 
+/// [`samples`] plus a record whose 100 zero payload bytes would decode
+/// as further records if a reader resumed inside them.
+fn samples_with_zero_payload() -> Vec<PacketRecord> {
+    let mut records = samples();
+    records.push(PacketRecord::udp(
+        Timestamp::from_micros(555),
+        Ipv4Addr::new(10, 0, 0, 5),
+        Ipv4Addr::new(128, 0, 0, 5),
+        40000,
+        443,
+        Bytes::from(vec![0u8; 100]),
+    ));
+    records
+}
+
 /// Byte offsets (into the serialized capture) at which each record ends.
 /// A cut exactly here is a clean end of stream; anywhere else is not.
 fn record_boundaries(records: &[PacketRecord]) -> Vec<usize> {
@@ -74,46 +88,33 @@ fn decode_zero(bytes: &[u8]) -> Result<Vec<PacketRecord>, CaptureError> {
 }
 
 #[test]
-fn truncation_at_every_byte_offset_is_detected_by_both_readers() {
+fn truncation_at_every_byte_offset_is_detected() {
     let records = samples();
     let bytes = to_bytes(&records).unwrap();
     let boundaries = record_boundaries(&records);
     assert_eq!(*boundaries.last().unwrap(), bytes.len());
 
     for cut in 0..=bytes.len() {
-        let cut_bytes = &bytes[..cut];
-        let legacy = from_bytes(cut_bytes);
-        let zero = decode_zero(cut_bytes);
+        let zero = decode_zero(&bytes[..cut]);
         if let Some(complete) = boundaries.iter().position(|&b| b == cut) {
-            // Clean prefix: both readers decode exactly the records
-            // that fit.
-            let want = &records[..complete];
+            // Clean prefix: exactly the records that fit.
             assert_eq!(
-                legacy.as_deref().expect("legacy reader, boundary cut"),
-                want,
-                "legacy reader at boundary {cut}"
-            );
-            assert_eq!(
-                zero.as_deref().expect("zero-copy reader, boundary cut"),
-                want,
-                "zero-copy reader at boundary {cut}"
+                zero.as_deref().expect("boundary cut decodes"),
+                &records[..complete],
+                "boundary {cut}"
             );
         } else {
-            // Mid-header or mid-record: both readers must say so.
-            assert!(
-                matches!(legacy, Err(CaptureError::Truncated)),
-                "legacy reader must report the cut at byte {cut}, got {legacy:?}"
-            );
+            // Mid-header or mid-record.
             assert!(
                 matches!(zero, Err(CaptureError::Truncated)),
-                "zero-copy reader must report the cut at byte {cut}, got {zero:?}"
+                "the reader must report the cut at byte {cut}, got {zero:?}"
             );
         }
     }
 }
 
-/// The specific pre-fix bug: 1–7 trailing bytes of a timestamp were
-/// swallowed as a clean end of stream, silently dropping data.
+/// 1–7 trailing bytes of a timestamp must not be swallowed as a clean
+/// end of stream, silently dropping data.
 #[test]
 fn mid_timestamp_truncation_is_not_a_clean_eof() {
     let records = samples();
@@ -123,16 +124,11 @@ fn mid_timestamp_truncation_is_not_a_clean_eof() {
     for &boundary in &boundaries[..boundaries.len() - 1] {
         for extra in 1..8 {
             let cut = boundary + extra;
-            let legacy = from_bytes(&bytes[..cut]);
-            assert!(
-                matches!(legacy, Err(CaptureError::Truncated)),
-                "cut {extra} bytes into a timestamp (offset {cut}) must be \
-                 Truncated, got {legacy:?}"
-            );
             let zero = decode_zero(&bytes[..cut]);
             assert!(
                 matches!(zero, Err(CaptureError::Truncated)),
-                "zero-copy decoder at offset {cut}: got {zero:?}"
+                "cut {extra} bytes into a timestamp (offset {cut}) must be \
+                 Truncated, got {zero:?}"
             );
         }
     }
@@ -147,12 +143,64 @@ fn valid_prefix_is_delivered_before_the_truncation_error() {
     let bytes = to_bytes(&records).unwrap();
     let boundaries = record_boundaries(&records);
     let cut = boundaries[2] + 3; // inside the third record
-    let mut legacy = quicsand_net::capture::CaptureReader::new(&bytes[..cut]).unwrap();
     let mut zero = ZeroCopyCaptureReader::from_bytes(bytes[..cut].to_vec()).unwrap();
     for want in &records[..2] {
-        assert_eq!(legacy.next().unwrap().unwrap(), *want);
         assert_eq!(zero.read_record().unwrap().unwrap(), *want);
     }
-    assert!(matches!(legacy.next(), Some(Err(CaptureError::Truncated))));
     assert!(matches!(zero.read_record(), Err(CaptureError::Truncated)));
+}
+
+/// For every cut offset inside a record, every read after the valid
+/// prefix returns the same typed error, through `read_record` and
+/// through `pull_chunk`.
+#[test]
+fn every_read_after_the_valid_prefix_returns_the_same_error() {
+    let records = samples_with_zero_payload();
+    let bytes = to_bytes(&records).unwrap();
+    let boundaries = record_boundaries(&records);
+    for cut in boundaries[0]..bytes.len() {
+        if boundaries.contains(&cut) {
+            continue;
+        }
+        // Records that end at or before the cut form the valid prefix.
+        let prefix = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
+        let cut_bytes = &bytes[..cut];
+
+        let mut reader = ZeroCopyCaptureReader::from_bytes(cut_bytes.to_vec()).unwrap();
+        for want in &records[..prefix] {
+            assert_eq!(reader.read_record().unwrap().as_ref(), Some(want));
+        }
+        for _ in 0..3 {
+            let got = reader.read_record();
+            assert!(
+                matches!(got, Err(CaptureError::Truncated)),
+                "read_record after the prefix at cut {cut}: {got:?}"
+            );
+        }
+
+        let mut source = ZeroCopyCaptureReader::from_bytes(cut_bytes.to_vec()).unwrap();
+        let mut delivered = Vec::new();
+        let error = loop {
+            match source.pull_chunk(10) {
+                Ok(chunk) => {
+                    assert!(!chunk.is_empty(), "clean end reported at cut {cut}");
+                    delivered.extend(chunk);
+                }
+                Err(error) => break error,
+            }
+        };
+        assert!(matches!(error, CaptureError::Truncated), "cut {cut}");
+        assert_eq!(
+            delivered,
+            records[..prefix],
+            "pull_chunk prefix at cut {cut}"
+        );
+        for _ in 0..3 {
+            let got = source.pull_chunk(10);
+            assert!(
+                matches!(got, Err(CaptureError::Truncated)),
+                "pull_chunk after the prefix at cut {cut}: {got:?}"
+            );
+        }
+    }
 }

@@ -5,13 +5,12 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use quicsand_core::{Analysis, AnalysisConfig};
 use quicsand_faults::{FaultPlan, FaultProfile};
+use quicsand_live::{LiveConfig, LiveEngine};
 use quicsand_net::{Duration, IcmpKind, PacketRecord, TcpFlags, Timestamp};
 use quicsand_obs::MetricsRegistry;
 use quicsand_sessions::dos::{detect_attacks, AttackProtocol, DosThresholds};
 use quicsand_sessions::session::{sessionize, timeout_sweep, SessionConfig, Sessionizer};
-use quicsand_telescope::{
-    ingest_parallel_with, shard_of, IngestMetrics, IngestStats, TelescopePipeline,
-};
+use quicsand_telescope::{shard_of, GuardConfig, IngestMetrics, IngestStats, TelescopePipeline};
 use quicsand_wire::crypto::InitialSecrets;
 use quicsand_wire::packet::{parse_datagram, Packet, PacketPayload};
 use quicsand_wire::{ConnectionId, Frame, Version};
@@ -37,14 +36,32 @@ fn assert_conservation(stats: &IngestStats) {
     );
 }
 
+/// The sequential reference: one pipeline over the whole stream.
+fn sequential_ingest(records: &[PacketRecord], guard: GuardConfig) -> IngestStats {
+    let mut pipeline = TelescopePipeline::with_guard(guard);
+    pipeline.ingest_all(records);
+    pipeline.finish().2
+}
+
+/// Merged ingest counters of the source-sharded live engine after it
+/// was offered the whole stream.
+fn sharded_ingest(records: &[PacketRecord], guard: GuardConfig, shards: usize) -> IngestStats {
+    let mut engine = LiveEngine::new(LiveConfig::default(), guard, shards);
+    engine.offer_chunk(records);
+    engine.ingest_stats()
+}
+
 /// Drives ≥10k records from a generated scenario through the fault
 /// injector and then through 1-, 2- and 8-shard ingest. The per-kind
 /// quarantine counters must equal the clean run's counters plus the
 /// injector's own per-kind oracle — *exactly*, at every shard count —
-/// and all shard counts must agree on every product.
+/// and all shard counts must agree on every product: the counters with
+/// the sequential pipeline's, the analysis products with the 1-thread
+/// run's.
 #[test]
 fn fault_quarantine_oracle_is_exact_across_shard_counts() {
-    let scenario = quicsand_traffic::Scenario::generate(&quicsand_traffic::ScenarioConfig::test());
+    let mut scenario =
+        quicsand_traffic::Scenario::generate(&quicsand_traffic::ScenarioConfig::test());
     let clean: Vec<PacketRecord> = scenario.records.iter().take(20_000).cloned().collect();
     assert!(clean.len() >= 10_000, "need a meaningful record volume");
 
@@ -55,30 +72,62 @@ fn fault_quarantine_oracle_is_exact_across_shard_counts() {
     let summary = *plan.summary();
     assert!(summary.total_injected() > 0, "profile must inject faults");
 
-    let (_, _, clean_stats) = ingest_parallel_with(&clean, 1, guard);
+    let clean_stats = sequential_ingest(&clean, guard);
     assert_conservation(&clean_stats);
 
     let mut expected = clean_stats.quarantine;
     expected.merge(&summary.expected_quarantine());
 
-    let single = ingest_parallel_with(&faulted, 1, guard);
-    for threads in [1usize, 2, 8] {
-        let (observations, baseline, stats) = ingest_parallel_with(&faulted, threads, guard);
+    let single = sequential_ingest(&faulted, guard);
+    for shards in [1usize, 2, 8] {
+        let stats = sharded_ingest(&faulted, guard, shards);
         assert_conservation(&stats);
         assert_eq!(
             stats.quarantine, expected,
-            "per-kind quarantine must equal clean + injected oracle at {threads} shard(s)"
+            "per-kind quarantine must equal clean + injected oracle at {shards} shard(s)"
         );
         assert_eq!(
             stats.total, summary.emitted_records,
             "every emitted record must be offered"
         );
+        assert_eq!(stats, single, "stats differ at {shards} shards");
+    }
+
+    // Every product downstream of ingest agrees at every thread count.
+    scenario.records = faulted;
+    let run = |threads: usize| {
+        Analysis::run(
+            &scenario,
+            &AnalysisConfig {
+                threads,
+                guard,
+                ..AnalysisConfig::default()
+            },
+        )
+    };
+    let reference = run(1);
+    assert_eq!(reference.ingest, single, "1-thread ingest differs");
+    for threads in [2usize, 8] {
+        let analysis = run(threads);
         assert_eq!(
-            observations, single.0,
-            "observations differ at {threads} shards"
+            analysis.requests, reference.requests,
+            "request observations differ at {threads} threads"
         );
-        assert_eq!(baseline, single.1, "baseline differs at {threads} shards");
-        assert_eq!(stats, single.2, "stats differ at {threads} shards");
+        assert_eq!(
+            analysis.responses, reference.responses,
+            "response observations differ at {threads} threads"
+        );
+        assert_eq!(analysis.research_sources, reference.research_sources);
+        assert_eq!(analysis.research_hourly, reference.research_hourly);
+        assert_eq!(analysis.research_packets, reference.research_packets);
+        assert_eq!(
+            analysis.common_sessions, reference.common_sessions,
+            "baseline differs at {threads} threads"
+        );
+        assert_eq!(
+            analysis.ingest, reference.ingest,
+            "stats differ at {threads} threads"
+        );
     }
 }
 
@@ -102,20 +151,20 @@ fn metrics_reconcile_with_stats_across_shard_counts() {
     // reconcile field for field at every shard count, and the rendered
     // exposition must agree byte for byte across shard counts.
     let mut rendered: Option<String> = None;
-    for threads in [1usize, 2, 8] {
-        let (_, _, stats) = ingest_parallel_with(&faulted, threads, guard);
+    for shards in [1usize, 2, 8] {
+        let stats = sharded_ingest(&faulted, guard, shards);
         let registry = MetricsRegistry::new();
         let metrics = IngestMetrics::register(&registry);
         metrics.publish(&stats);
         metrics
             .verify(&stats)
-            .unwrap_or_else(|e| panic!("{threads} shard(s): {e:?}"));
+            .unwrap_or_else(|e| panic!("{shards} shard(s): {e:?}"));
         let text = registry.render_prometheus(false);
         match &rendered {
             None => rendered = Some(text),
             Some(reference) => assert_eq!(
                 &text, reference,
-                "ingest exposition differs at {threads} shard(s)"
+                "ingest exposition differs at {shards} shard(s)"
             ),
         }
     }
@@ -383,8 +432,8 @@ proptest! {
         let mut plan = FaultPlan::new(profile, seed);
         let faulted = plan.apply_all(&records);
         prop_assert_eq!(faulted.len() as u64, plan.summary().emitted_records);
-        for threads in [1usize, 2] {
-            let (_, _, stats) = ingest_parallel_with(&faulted, threads, guard);
+        for shards in [1usize, 2] {
+            let stats = sharded_ingest(&faulted, guard, shards);
             prop_assert_eq!(stats.total, faulted.len() as u64);
             prop_assert_eq!(
                 stats.total,
